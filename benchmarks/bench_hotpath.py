@@ -7,8 +7,7 @@ Measures single-core GBDT batch-scoring throughput three ways and seeds
 * **kernel legs** — raw margin computation (binned codes in, scores
   out) at the serving micro-batch sizes (32, 256) and in bulk, for the
   legacy per-tree loop (the pre-kernel ``benchmarks/bench_serve.py``
-  scoring path) against the flattened numpy kernel, plus numba when
-  installed;
+  scoring path) against the flattened numpy kernel;
 * **microbatch leg** — the end-to-end serve path
   (:class:`~repro.serve.scorer.MicroBatchScorer`: queue + fused row
   assembly + TwoStage prediction) under both scoring paths;
@@ -56,9 +55,17 @@ def _best_seconds(fn, *, repeats: int, min_rows: int, batch_rows: int) -> float:
     return best
 
 
+def _pertree_raw(gb, binned: np.ndarray) -> np.ndarray:
+    """The legacy per-tree scoring loop: one ``predict_binned`` per tree."""
+    raw = np.full(binned.shape[0], gb._base_score)
+    for tree in gb._trees:
+        raw += gb.learning_rate * tree.predict_binned(binned)
+    return raw
+
+
 def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
-    """Per-tree loop vs flat kernels on the raw scoring hot path."""
-    from repro.ml.kernels import numba_available, predict_raw
+    """Per-tree loop vs the flat kernel on the raw scoring hot path."""
+    from repro.ml.kernels import predict_raw
 
     entries = []
     for batch_rows in (*MICRO_BATCH_SIZES, bulk_rows):
@@ -68,18 +75,14 @@ def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
         tag = "bulk" if batch_rows == bulk_rows else f"batch{batch_rows}"
 
         def pertree():
-            raw = np.full(binned.shape[0], gb._base_score)
-            for tree in gb._trees:
-                raw += gb.learning_rate * tree.predict_binned(binned)
-            return raw
+            return _pertree_raw(gb, binned)
 
-        def flat(backend="numpy"):
+        def flat():
             return predict_raw(
                 gb._flat,
                 binned,
                 base_score=gb._base_score,
                 learning_rate=gb.learning_rate,
-                backend=backend,
             )
 
         assert np.array_equal(pertree(), flat()), "kernel broke bit-identity"
@@ -91,25 +94,16 @@ def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
         entries.append(
             {"label": f"pertree_{tag}", "rows_per_sec": round(rate_pertree, 1)}
         )
-        backends = ["numpy"] + (["numba"] if numba_available() else [])
-        for backend in backends:
-            if backend == "numba":
-                assert np.array_equal(flat("numba"), flat()), (
-                    "numba kernel broke bit-identity"
-                )
-            seconds = _best_seconds(
-                lambda: flat(backend),
-                repeats=repeats,
-                min_rows=min_rows,
-                batch_rows=batch_rows,
-            )
-            entries.append(
-                {
-                    "label": f"{backend}_{tag}",
-                    "rows_per_sec": round(batch_rows / seconds, 1),
-                    "speedup": round(seconds_pertree / seconds, 2),
-                }
-            )
+        seconds = _best_seconds(
+            flat, repeats=repeats, min_rows=min_rows, batch_rows=batch_rows
+        )
+        entries.append(
+            {
+                "label": f"numpy_{tag}",
+                "rows_per_sec": round(batch_rows / seconds, 1),
+                "speedup": round(seconds_pertree / seconds, 2),
+            }
+        )
     return entries
 
 
@@ -132,7 +126,9 @@ def bench_microbatch_leg(predictor, schema, rows, *, repeats: int) -> list[dict]
     for label, patched in (("microbatch_pertree", True), ("microbatch_numpy", False)):
         if patched:
             # Instance-level patch: exactly the pre-kernel scoring path.
-            gb._decision_function = gb._decision_function_pertree
+            gb._decision_function = lambda X: _pertree_raw(
+                gb, gb._binner.transform(X)
+            )
         else:
             gb.__dict__.pop("_decision_function", None)
         rates[label] = max(score_all() for _ in range(repeats))

@@ -12,7 +12,6 @@ Subcommands::
     repro faults --intensities 0,0.1,0.25 --seed 7     # degradation curve
     repro simulate --out t --scenario regime-change    # scripted cluster life
     repro serve-replay --registry runs/registry        # online-path replay
-    repro --backend numba serve-replay --registry r    # compiled scoring kernel
     repro serve-replay --registry r --chaos 0.25       # chaos replay
     repro serve-replay --registry r --drift            # drift-guarded retrains
     repro resilience --intensities 0,0.25 --seed 7     # availability curve
@@ -54,7 +53,6 @@ from repro.experiments.resilience_experiment import (
     run_resilience,
 )
 from repro.experiments.presets import PRESETS, preset_config
-from repro.ml.kernels import set_backend
 from repro.scenarios import scenario_preset, scenario_preset_names
 from repro.obs import (
     configure as obs_configure,
@@ -113,14 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="produce/consume the trace through the segmented on-disk "
         "store (out of core; results are bit-identical)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="scoring-kernel backend: 'numpy' (the default) or 'numba' "
-        "(bit-identical scores; falls back to numpy with a warning when "
-        "numba is not installed)",
     )
     parser.add_argument(
         "--obs",
@@ -715,10 +705,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.obs is not None:
         obs_configure(args.obs)
     try:
-        if args.backend is not None:
-            # Validated here (not by argparse choices) so an unknown
-            # backend exits with the standard one-line ReproError path.
-            set_backend(args.backend)
         if args.strict:
             # Escalate every degraded-data repair into a typed error:
             # under --strict the pipeline must fail loudly, never heal.

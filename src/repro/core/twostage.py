@@ -149,18 +149,11 @@ class TwoStagePredictor:
     def kernel_stats(self) -> dict:
         """Scoring-kernel summary for the stage-2 model (observability).
 
-        Reports the process-wide backend plus, when stage 2 is a
-        flattened GBDT, the flat-forest shape the hot path traverses.
-        Purely informational — never part of any digest.
+        When stage 2 is a flattened GBDT, reports the flat-forest shape
+        the hot path traverses.  Purely informational — never part of
+        any digest.
         """
-        from repro.ml.kernels import get_backend
-
-        stats: dict = {
-            "backend": get_backend(),
-            "flattened": False,
-            "n_trees": 0,
-            "n_nodes": 0,
-        }
+        stats: dict = {"flattened": False, "n_trees": 0, "n_nodes": 0}
         flat = getattr(self._model, "_flat", None)
         if flat is not None:
             stats.update(flattened=True, n_trees=flat.n_trees, n_nodes=flat.n_nodes)

@@ -59,7 +59,6 @@ from repro.obs import MetricsRegistry, get_registry
 from repro.gateway.clock import VirtualClock
 from repro.gateway.router import ConsistentHashRing
 from repro.gateway.watcher import RegistryWatcher
-from repro.ml.kernels import set_backend
 from repro.serve.engine import StreamingFeatureEngine
 from repro.serve.events import JobResolved, RunCompleted, RunStarted, SbeObserved
 from repro.serve.drift import DriftConfig, DriftMonitor
@@ -105,11 +104,6 @@ class GatewayConfig:
     #: the gateway-vs-replay parity digest and the alarm counts of
     #: drift-off runs byte-identical to before this knob existed.
     drift: DriftConfig | None = None
-    #: Scoring-kernel backend for the shard scorers ("numpy"/"numba").
-    #: ``None`` (the default) keeps the process-wide selection.
-    #: Backends are bit-identical, so the parity digest is
-    #: backend-invariant.
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -564,8 +558,6 @@ def build_gateway(
     makes the single-shard gateway digest bit-identical to replay.
     """
     config = config or GatewayConfig()
-    if config.backend is not None:
-        set_backend(config.backend)
     features = build_features(trace, top_k_apps=top_k_apps)
     pipeline = PredictionPipeline(features, splits)
     split_obj = pipeline.split(split)

@@ -13,15 +13,7 @@ All estimators follow the familiar ``fit`` / ``predict`` /
 from repro.ml.base import BaseClassifier, check_X_y, check_array
 from repro.ml.cluster import KMeans
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.kernels import (
-    KERNEL_BACKENDS,
-    FlatForest,
-    flatten_ensemble,
-    get_backend,
-    numba_available,
-    set_backend,
-    use_backend,
-)
+from repro.ml.kernels import FlatForest, flatten_ensemble
 from repro.ml.linear import LogisticRegression
 from repro.ml.metrics import (
     accuracy_score,
@@ -46,13 +38,8 @@ __all__ = [
     "check_array",
     "KMeans",
     "GradientBoostingClassifier",
-    "KERNEL_BACKENDS",
     "FlatForest",
     "flatten_ensemble",
-    "get_backend",
-    "numba_available",
-    "set_backend",
-    "use_backend",
     "LogisticRegression",
     "accuracy_score",
     "classification_report",

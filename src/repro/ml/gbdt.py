@@ -189,20 +189,6 @@ class GradientBoostingClassifier(BaseClassifier):
             learning_rate=self.learning_rate,
         )
 
-    def _decision_function_pertree(self, X: np.ndarray) -> np.ndarray:
-        """Legacy per-tree scoring loop, kept as the kernel digest oracle.
-
-        Tests and ``benchmarks/bench_hotpath.py`` compare the flattened
-        kernels against this path; it must stay bit-identical to the
-        pre-kernel implementation.
-        """
-        assert self._binner is not None
-        binned = self._binner.transform(X)
-        raw = np.full(binned.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict_binned(binned)
-        return raw
-
     def staged_decision_function(self, X: np.ndarray):
         """Yield decision scores after each boosting round (for diagnostics)."""
         self._check_fitted()

@@ -1,41 +1,35 @@
-"""Hot-path scoring kernels: flattened GBDT ensembles + backend dispatch.
+"""Hot-path scoring kernels: flattened GBDT ensembles, two numpy sweeps.
 
 The from-scratch :class:`~repro.ml.gbdt.GradientBoostingClassifier`
 historically scored with a Python loop over its trees, each tree doing a
 vectorized frontier walk — O(n_trees * depth) small numpy kernel
 launches per batch.  This module flattens a fitted ensemble into one set
-of contiguous ensemble-level arrays (:class:`FlatForest`) and traverses
-*all* trees level-synchronously in O(depth) large numpy ops, which is
-where the serving tier's ≥5x single-core micro-batch scoring speedup
-comes from (``benchmarks/bench_hotpath.py``).  Bulk batches (at or above
-:data:`TREE_MAJOR_MIN_ROWS` rows) instead sweep the same flat arrays
-tree-major, where the level-synchronous temporaries would outgrow cache;
-the two sweeps are bit-identical by construction.
+of contiguous ensemble-level arrays (:class:`FlatForest`) and scores it
+with one of two sweeps, chosen by row count:
+
+* micro-batches (below :data:`TREE_MAJOR_MIN_ROWS` rows) traverse *all*
+  trees level-synchronously in O(depth) large numpy ops
+  (:func:`traverse`), which is where the serving tier's ≥5x single-core
+  micro-batch scoring speedup comes from
+  (``benchmarks/bench_hotpath.py``);
+* bulk batches walk the flat arrays tree by tree with
+  :func:`frontier_walk`, the same walk
+  :meth:`~repro.ml.tree.GradHessTree.predict_binned` uses during
+  training.  It matches level-sync on bulk speed while keeping its
+  temporaries O(n_rows) instead of O(n_trees * n_rows).
 
 Exactness contract (enforced by tests and the determinism gate):
 
-* The traversal is pure integer comparison on quantized bin codes, so
-  every sample lands on exactly the node the per-tree walk would reach.
+* Both sweeps are pure integer comparison on quantized bin codes, so
+  every sample lands on exactly the node a node-by-node walk would reach.
 * Scores accumulate in boosting order with the same per-element float64
   operations the per-tree loop performed (``raw += lr * leaf_value``),
   so flattened scores are **bit-identical** to the legacy path — pinned
   replay/gateway/golden digests must not move.
-* The optional numba backend runs the same scalar recurrence per row
-  (no fastmath, no reassociation), so it is bit-identical to numpy too.
-  Where a future backend cannot claim exactness it must document its
-  tolerance in DESIGN.md §15 instead of silently drifting.
-
-Backend selection is process-global (:func:`set_backend` /
-:func:`get_backend`, CLI ``--backend {numpy,numba}``).  Requesting
-``numba`` on a machine without numba falls back to numpy with a
-one-line :class:`KernelBackendWarning` — the numpy path is always the
-digest oracle, so the fallback changes nothing but speed.
 """
 
 from __future__ import annotations
 
-import contextlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,97 +37,26 @@ import numpy as np
 from repro.utils.errors import ValidationError
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "KernelBackendWarning",
     "FlatForest",
     "flatten_ensemble",
+    "frontier_walk",
     "predict_raw",
     "traverse",
-    "numba_available",
-    "set_backend",
-    "get_backend",
-    "use_backend",
 ]
-
-#: Selectable scoring backends, in fallback order.
-KERNEL_BACKENDS = ("numpy", "numba")
 
 #: Rows per traversal chunk: bounds the (n_trees, chunk) temporaries so
 #: huge benchmark batches cannot balloon memory.  Chunking is invisible
 #: to results — rows are independent.
 CHUNK_ROWS = 16384
 
-#: At or above this many rows the numpy kernel sweeps tree-major instead
-#: of level-synchronously: the (n_trees, n_rows) per-level temporaries of
-#: the all-trees pass outgrow cache on bulk batches, while micro-batches
-#: (the serving hot path) are dominated by per-tree Python overhead that
-#: the level-synchronous pass eliminates.  Both sweeps select identical
-#: leaves and accumulate in identical order, so the switch can never
-#: change a score bit.
+#: At or above this many rows :func:`predict_raw` sweeps tree-major with
+#: :func:`frontier_walk` instead of level-synchronously: the
+#: (n_trees, n_rows) per-level temporaries of the all-trees pass outgrow
+#: cache on bulk batches, while micro-batches (the serving hot path) are
+#: dominated by per-tree Python overhead that the level-synchronous pass
+#: eliminates.  Both sweeps select identical leaves and accumulate in
+#: identical order, so the switch can never change a score bit.
 TREE_MAJOR_MIN_ROWS = 4096
-
-
-class KernelBackendWarning(RuntimeWarning):
-    """A requested scoring backend is unavailable; numpy is used instead."""
-
-
-_BACKEND = "numpy"
-_NUMBA_OK: bool | None = None
-_NUMBA_KERNEL = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be imported (cached)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:  # pragma: no cover - depends on environment
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def set_backend(name: str) -> str:
-    """Select the process-wide scoring backend; returns the effective one.
-
-    Unknown names raise :class:`~repro.utils.errors.ValidationError`.
-    Requesting ``numba`` without numba installed warns once
-    (:class:`KernelBackendWarning`) and keeps numpy — scores are
-    bit-identical either way, so the fallback is purely a speed choice.
-    """
-    global _BACKEND
-    if name not in KERNEL_BACKENDS:
-        raise ValidationError(
-            f"unknown scoring backend: {name!r}; options: {KERNEL_BACKENDS}"
-        )
-    if name == "numba" and not numba_available():
-        warnings.warn(
-            "scoring backend 'numba' unavailable (numba is not importable); "
-            "falling back to the bit-identical 'numpy' kernel",
-            KernelBackendWarning,
-            stacklevel=2,
-        )
-        name = "numpy"
-    _BACKEND = name
-    return _BACKEND
-
-
-def get_backend() -> str:
-    """The currently selected scoring backend name."""
-    return _BACKEND
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily select a backend (tests, determinism parity legs)."""
-    previous = _BACKEND
-    try:
-        yield set_backend(name)
-    finally:
-        set_backend(previous)
-
 
 @dataclass(frozen=True)
 class FlatForest:
@@ -246,99 +169,35 @@ def _traverse_chunk(forest: FlatForest, binned: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _traverse_tree(forest: FlatForest, binned: np.ndarray, t: int) -> np.ndarray:
-    """Leaf index per row for one tree: a frontier walk over flat arrays.
+def frontier_walk(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    binned: np.ndarray,
+    *,
+    root: int = 0,
+    max_depth: int,
+) -> np.ndarray:
+    """Node index per row for one tree, starting every row at ``root``.
 
     Rows that reach a leaf drop out of later passes (the ``nonzero``
-    compaction), so each level only touches still-descending rows —
-    the same access pattern ``GradHessTree.predict_binned`` uses, minus
-    its per-call list-to-array conversions.
+    compaction), so each level only touches still-descending rows.  Each
+    pass advances a row one level; ``max_depth`` bounds the passes.
     """
     # intp positions: numpy re-casts any other index dtype on every
     # gather, which would dominate the bulk path.
-    pos = np.full(binned.shape[0], forest.offsets[t], dtype=np.intp)
-    for _ in range(forest.max_depth + 1):
-        internal = forest.feature[pos] >= 0
+    pos = np.full(binned.shape[0], root, dtype=np.intp)
+    for _ in range(max_depth + 1):
+        internal = feature[pos] >= 0
         if not internal.any():
             break
         idx = np.nonzero(internal)[0]
         at = pos[idx]
-        codes = binned[idx, forest.feature[at]]
-        go_left = codes <= forest.bin_threshold[at]
-        pos[idx] = np.where(go_left, forest.left[at], forest.right[at])
+        codes = binned[idx, feature[at]]
+        go_left = codes <= threshold[at]
+        pos[idx] = np.where(go_left, left[at], right[at])
     return pos
-
-
-def _predict_raw_numpy(
-    forest: FlatForest,
-    binned: np.ndarray,
-    *,
-    base_score: float,
-    learning_rate: float,
-) -> np.ndarray:
-    if binned.dtype != np.uint8:
-        raise ValidationError("binned matrix must be uint8 bin codes")
-    raw = np.full(binned.shape[0], base_score)
-    # Accumulate in boosting order with the identical per-element float64
-    # op the per-tree loop used — this is what makes scores bit-exact.
-    if binned.shape[0] >= TREE_MAJOR_MIN_ROWS:
-        for t in range(forest.n_trees):
-            raw += learning_rate * forest.value[_traverse_tree(forest, binned, t)]
-        return raw
-    positions = traverse(forest, binned)
-    for t in range(forest.n_trees):
-        raw += learning_rate * forest.value[positions[t]]
-    return raw
-
-
-def _numba_kernel():  # pragma: no cover - requires numba
-    """Compile (once) the scalar per-row traversal kernel."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        from numba import njit
-
-        @njit(cache=False)
-        def kernel(feature, threshold, left, right, value, roots, binned, base, lr, out):
-            n_rows = binned.shape[0]
-            n_trees = roots.shape[0]
-            for i in range(n_rows):
-                acc = base
-                for t in range(n_trees):
-                    node = roots[t]
-                    while feature[node] >= 0:
-                        if binned[i, feature[node]] <= threshold[node]:
-                            node = left[node]
-                        else:
-                            node = right[node]
-                    # Same op order as the numpy path: acc += lr * value.
-                    acc = acc + lr * value[node]
-                out[i] = acc
-
-        _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-def _predict_raw_numba(
-    forest: FlatForest,
-    binned: np.ndarray,
-    *,
-    base_score: float,
-    learning_rate: float,
-) -> np.ndarray:  # pragma: no cover - requires numba
-    out = np.empty(binned.shape[0], dtype=np.float64)
-    _numba_kernel()(
-        forest.feature,
-        forest.bin_threshold,
-        forest.left,
-        forest.right,
-        forest.value,
-        np.ascontiguousarray(forest.offsets[:-1]),
-        np.ascontiguousarray(binned),
-        float(base_score),
-        float(learning_rate),
-        out,
-    )
-    return out
 
 
 def predict_raw(
@@ -347,24 +206,29 @@ def predict_raw(
     *,
     base_score: float,
     learning_rate: float,
-    backend: str | None = None,
 ) -> np.ndarray:
-    """Raw ensemble margin per row: ``base + lr * sum(leaf values)``.
-
-    ``backend=None`` uses the process-wide selection; scores are
-    bit-identical across backends (the numpy path is the oracle).
-    """
+    """Raw ensemble margin per row: ``base + lr * sum(leaf values)``."""
+    if binned.dtype != np.uint8:
+        raise ValidationError("binned matrix must be uint8 bin codes")
+    raw = np.full(binned.shape[0], base_score)
     if forest is None:
-        return np.full(binned.shape[0], base_score)
-    chosen = backend if backend is not None else _BACKEND
-    if chosen not in KERNEL_BACKENDS:
-        raise ValidationError(
-            f"unknown scoring backend: {chosen!r}; options: {KERNEL_BACKENDS}"
-        )
-    if chosen == "numba" and numba_available():  # pragma: no cover
-        return _predict_raw_numba(
-            forest, binned, base_score=base_score, learning_rate=learning_rate
-        )
-    return _predict_raw_numpy(
-        forest, binned, base_score=base_score, learning_rate=learning_rate
-    )
+        return raw
+    # Accumulate in boosting order with the identical per-element float64
+    # op the per-tree loop used — this is what makes scores bit-exact.
+    if binned.shape[0] >= TREE_MAJOR_MIN_ROWS:
+        for t in range(forest.n_trees):
+            leaves = frontier_walk(
+                forest.feature,
+                forest.bin_threshold,
+                forest.left,
+                forest.right,
+                binned,
+                root=int(forest.offsets[t]),
+                max_depth=forest.max_depth,
+            )
+            raw += learning_rate * forest.value[leaves]
+        return raw
+    positions = traverse(forest, binned)
+    for t in range(forest.n_trees):
+        raw += learning_rate * forest.value[positions[t]]
+    return raw

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ml.base import BaseClassifier, check_array, check_X_y
+from repro.ml.kernels import frontier_walk
 from repro.utils.errors import NotFittedError, ValidationError
 from repro.utils.validation import check_nonnegative, check_positive
 
@@ -247,27 +248,19 @@ class GradHessTree:
         return best
 
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        """Predict from bin codes via vectorized frontier traversal."""
+        """Predict from bin codes via the shared vectorized frontier walk."""
         if self._arrays is None:
             raise NotFittedError("tree is not fitted")
         arrays = self._arrays
-        feature = np.asarray(arrays.feature)
-        threshold = np.asarray(arrays.bin_threshold)
-        left = np.asarray(arrays.left)
-        right = np.asarray(arrays.right)
-        value = np.asarray(arrays.value)
-        position = np.zeros(binned.shape[0], dtype=int)
-        # Each pass advances every sample one level; tree depth bounds passes.
-        for _ in range(self.max_depth + 1):
-            at_internal = feature[position] >= 0
-            if not at_internal.any():
-                break
-            idx = np.nonzero(at_internal)[0]
-            pos = position[idx]
-            codes = binned[idx, feature[pos]]
-            go_left = codes <= threshold[pos]
-            position[idx] = np.where(go_left, left[pos], right[pos])
-        return value[position]
+        leaves = frontier_walk(
+            np.asarray(arrays.feature),
+            np.asarray(arrays.bin_threshold),
+            np.asarray(arrays.left),
+            np.asarray(arrays.right),
+            binned,
+            max_depth=self.max_depth,
+        )
+        return np.asarray(arrays.value)[leaves]
 
 
 class DecisionTreeRegressor:

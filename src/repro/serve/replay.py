@@ -55,7 +55,6 @@ from repro.core.pipeline import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
 from repro.features.builder import build_features, compute_top_apps
 from repro.features.splits import DatasetSplit
-from repro.ml.kernels import set_backend
 from repro.ml.metrics import classification_report
 from repro.serve.checkpoint import CheckpointManager
 from repro.serve.drift import (
@@ -328,7 +327,6 @@ def serve_replay(
     resume: bool = False,
     crash_after_events: int | None = None,
     strict: bool = False,
-    backend: str | None = None,
 ) -> ReplayReport:
     """Replay ``trace`` through registry + streaming engine + scorer.
 
@@ -360,15 +358,6 @@ def serve_replay(
     :class:`~repro.utils.errors.SimulatedCrashError` after that many
     events — the test hook for the kill-and-resume path.
 
-    ``backend`` selects the process-wide scoring kernel
-    (:func:`repro.ml.kernels.set_backend`) for this and subsequent
-    scoring; ``None`` leaves the current selection alone.  Backends are
-    bit-identical, so the replay digest is the same either way — the
-    choice is recorded in the (undigested) notes.  It is deliberately
-    excluded from the checkpoint compatibility key: a run checkpointed
-    under one backend may resume under the other without changing its
-    digest.
-
     ``strict=True`` escalates every degraded-data self-heal into a
     typed :class:`~repro.utils.errors.DegradedDataError`: a sanitizer
     repair (which normally proceeds under a
@@ -379,9 +368,6 @@ def serve_replay(
     """
     started = time.perf_counter()
     notes: list[str] = []
-    if backend is not None:
-        effective = set_backend(backend)
-        notes.append(f"scoring backend: {effective}")
     if sanitize:
         from repro.faults import sanitize_trace
 

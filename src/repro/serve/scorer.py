@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.core.twostage import TwoStagePredictor
 from repro.features.schema import FeatureSchema
-from repro.ml.kernels import get_backend
 from repro.obs import DEFAULT_MINUTE_BUCKETS, DEFAULT_SIZE_BUCKETS, get_registry
 from repro.serve.engine import StreamedRow, rows_to_matrix
 from repro.utils.errors import ValidationError
@@ -224,10 +223,6 @@ class MicroBatchScorer:
             "Wall time spent inside model prediction.",
             wall=True,
         ).inc(elapsed)
-        registry.counter(
-            "repro_serve_kernel_batches_total",
-            "Micro-batches scored, by scoring-kernel backend.",
-        ).inc(backend=get_backend())
         threshold = self._predictor.model.threshold
         predicted = (scores >= threshold).astype(int)
         return scores, predicted, self.model_version, "primary"

@@ -110,10 +110,6 @@ class ScorerWorker:
         """Rows waiting in the scorer's micro-batch queue."""
         return self.scorer.queue_depth
 
-    def kernel_stats(self) -> dict:
-        """Scoring-kernel summary of the currently-serving model."""
-        return self.scorer.predictor.kernel_stats()
-
     def handle_event(self, event, *, between=None) -> list[Alert]:
         """Apply one stream event; returns any alerts it flushed.
 

@@ -142,3 +142,20 @@ class TestTwoStage:
         predictor = TwoStagePredictor("lr", random_state=0, fast=True).fit(train)
         stage2 = train.rows(np.isin(train.meta["node_id"], predictor.offender_nodes))
         assert stage2.y.mean() > 3 * train.y.mean()
+
+    def test_kernel_stats_reports_flattened_ensemble(self, split_features):
+        train, _ = split_features
+        predictor = TwoStagePredictor("gbdt", random_state=0, fast=True).fit(train)
+        stats = predictor.kernel_stats()
+        assert stats["flattened"] is True
+        assert stats["n_trees"] > 0
+        assert stats["n_nodes"] >= stats["n_trees"]
+
+    def test_kernel_stats_for_unflattened_model(self, split_features):
+        train, _ = split_features
+        predictor = TwoStagePredictor("lr", random_state=0, fast=True).fit(train)
+        assert predictor.kernel_stats() == {
+            "flattened": False,
+            "n_trees": 0,
+            "n_nodes": 0,
+        }

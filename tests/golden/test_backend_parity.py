@@ -1,14 +1,13 @@
 """Golden guard: ensemble flattening changes no pinned digest.
 
-Three oracles must agree on the canonical evaluation, byte for byte:
+Two scoring paths must agree on the canonical evaluation, byte for byte:
 
-1. the legacy per-tree scoring loop (``_decision_function_pertree``),
-2. the flattened numpy batch kernel (the default path), and
-3. the numba kernel, when numba is installed (skips cleanly otherwise).
+1. the legacy per-tree scoring loop (:func:`_pertree_decision_function`,
+   defined here as the reference oracle), and
+2. the flattened numpy kernel (the default path).
 
-All three are pinned against the committed golden ``predict`` digest, so
-a kernel change that perturbs even one score bit fails here with the
-backend named.
+Both are pinned against the committed golden ``predict`` digest, so a
+kernel change that perturbs even one score bit fails here.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from repro.features.builder import build_features
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.kernels import numba_available, use_backend
 from repro.telemetry.simulator import TraceSimulator
 
 from tests.golden.canonical import (
@@ -30,6 +27,15 @@ from tests.golden.canonical import (
     metrics_digest,
 )
 from tests.golden.test_golden_digests import load_goldens
+
+
+def _pertree_decision_function(gb: GradientBoostingClassifier, X: np.ndarray):
+    """The pre-kernel scoring loop: one ``predict_binned`` per tree."""
+    binned = gb._binner.transform(X)
+    raw = np.full(binned.shape[0], gb._base_score)
+    for tree in gb._trees:
+        raw += gb.learning_rate * tree.predict_binned(binned)
+    return raw
 
 
 @lru_cache(maxsize=None)
@@ -46,8 +52,7 @@ def _pinned_predict_digest() -> str:
 
 def test_flat_kernel_hits_pinned_predict_digest():
     features, duration_days = _canonical_features()
-    with use_backend("numpy"):
-        result = evaluate_canonical(features, duration_days)
+    result = evaluate_canonical(features, duration_days)
     assert metrics_digest(result) == _pinned_predict_digest()
 
 
@@ -57,17 +62,9 @@ def test_pertree_oracle_hits_pinned_predict_digest(monkeypatch):
     monkeypatch.setattr(
         GradientBoostingClassifier,
         "_decision_function",
-        GradientBoostingClassifier._decision_function_pertree,
+        _pertree_decision_function,
     )
     result = evaluate_canonical(features, duration_days)
-    assert metrics_digest(result) == _pinned_predict_digest()
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_kernel_hits_pinned_predict_digest():
-    features, duration_days = _canonical_features()
-    with use_backend("numba"):
-        result = evaluate_canonical(features, duration_days)
     assert metrics_digest(result) == _pinned_predict_digest()
 
 
@@ -89,8 +86,4 @@ def test_flat_scores_equal_pertree_scores_on_canonical_model():
     gb = GradientBoostingClassifier(random_state=0)
     gb.fit(train.X, train.y)
     flat = gb.decision_function(test.X)
-    pertree = gb._decision_function_pertree(test.X)
-    assert np.array_equal(flat, pertree)
-    if numba_available():
-        with use_backend("numba"):
-            assert np.array_equal(gb.decision_function(test.X), pertree)
+    assert np.array_equal(flat, _pertree_decision_function(gb, test.X))

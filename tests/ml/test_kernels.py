@@ -1,16 +1,14 @@
 """Property and regression tests for the flattened scoring kernels.
 
-The core contract: the level-synchronous batch traversal over a
-flattened ensemble (:mod:`repro.ml.kernels`) is **bit-identical** to a
-node-by-node walk of the per-tree ``_TreeArrays`` — for random tree
-topologies (random depths, degenerate single-leaf trees) and for
-constant all-NaN-imputed-style rows — and the numba backend matches the
-numpy oracle exactly on every drawn ensemble.
+The core contract: both sweeps of :mod:`repro.ml.kernels` — the
+level-synchronous micro-batch traversal and the frontier walk shared by
+bulk scoring and ``GradHessTree.predict_binned`` — are **bit-identical**
+to an independent node-by-node walk of the per-tree ``_TreeArrays``, for
+random tree topologies (random depths, degenerate single-leaf trees) and
+for constant all-NaN-imputed-style rows.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +17,11 @@ from hypothesis import given, strategies as st
 from repro.ml import kernels
 from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.kernels import (
-    KernelBackendWarning,
+    TREE_MAJOR_MIN_ROWS,
     flatten_ensemble,
-    get_backend,
-    numba_available,
+    frontier_walk,
     predict_raw,
-    set_backend,
     traverse,
-    use_backend,
 )
 from repro.ml.tree import GradHessTree, _TreeArrays
 from repro.utils.errors import ValidationError
@@ -70,6 +65,27 @@ def _oracle_walk(arrays: _TreeArrays, codes: np.ndarray) -> int:
     return node
 
 
+def _oracle_raw(trees, binned, base, lr):
+    """Raw margins from the node-by-node walk, in boosting order."""
+    raw = np.full(binned.shape[0], base)
+    for tree in trees:
+        arrays = tree.arrays
+        leaf_values = np.array(
+            [arrays.value[_oracle_walk(arrays, codes)] for codes in binned]
+        )
+        raw += lr * leaf_values
+    return raw
+
+
+def _pertree_raw(gb, X):
+    """The pre-kernel per-tree scoring loop of a fitted GBDT."""
+    binned = gb._binner.transform(X)
+    raw = np.full(binned.shape[0], gb._base_score)
+    for tree in gb._trees:
+        raw += gb.learning_rate * tree.predict_binned(binned)
+    return raw
+
+
 ensembles = st.fixed_dictionaries(
     {
         "seed": st.integers(0, 2**32 - 1),
@@ -100,9 +116,20 @@ class TestTraversalProperties:
         positions = traverse(forest, binned)
         for t, tree in enumerate(trees):
             offset = int(forest.offsets[t])
-            for i in range(params["n_rows"]):
-                expected = offset + _oracle_walk(tree.arrays, binned[i])
-                assert positions[t, i] == expected
+            expected = [_oracle_walk(tree.arrays, codes) for codes in binned]
+            assert np.array_equal(positions[t], offset + np.array(expected))
+            bulk = frontier_walk(
+                forest.feature,
+                forest.bin_threshold,
+                forest.left,
+                forest.right,
+                binned,
+                root=offset,
+                max_depth=forest.max_depth,
+            )
+            assert np.array_equal(bulk, offset + np.array(expected))
+            values = np.array([tree.arrays.value[k] for k in expected])
+            assert np.array_equal(tree.predict_binned(binned), values)
 
     @given(params=ensembles)
     def test_predict_raw_bit_identical_to_pertree_loop(self, params):
@@ -120,17 +147,10 @@ class TestTraversalProperties:
         binned = rng.integers(
             0, 256, size=(params["n_rows"], params["n_features"])
         ).astype(np.uint8)
-        expected = np.full(binned.shape[0], base)
-        for tree in trees:
-            expected += lr * tree.predict_binned(binned)
+        expected = _oracle_raw(trees, binned, base, lr)
         got = predict_raw(forest, binned, base_score=base, learning_rate=lr)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
-        if numba_available():
-            via_numba = predict_raw(
-                forest, binned, base_score=base, learning_rate=lr, backend="numba"
-            )
-            assert np.array_equal(via_numba, expected)
 
     @pytest.mark.parametrize("code", [0, 63, 255])
     def test_constant_imputed_rows(self, code):
@@ -139,9 +159,7 @@ class TestTraversalProperties:
         trees = _random_trees(rng, 3, 4, 3, 0.8)
         forest = flatten_ensemble(trees)
         binned = np.full((17, 3), code, dtype=np.uint8)
-        expected = np.full(17, 0.25)
-        for tree in trees:
-            expected += 0.1 * tree.predict_binned(binned)
+        expected = _oracle_raw(trees, binned, 0.25, 0.1)
         got = predict_raw(forest, binned, base_score=0.25, learning_rate=0.1)
         assert np.array_equal(got, expected)
         # Constant input -> one shared leaf per tree -> constant output.
@@ -154,9 +172,7 @@ class TestTraversalProperties:
         assert forest.n_nodes == 4
         binned = rng.integers(0, 256, size=(9, 2)).astype(np.uint8)
         got = predict_raw(forest, binned, base_score=1.0, learning_rate=0.5)
-        expected = np.full(9, 1.0)
-        for tree in trees:
-            expected += 0.5 * tree.predict_binned(binned)
+        expected = _oracle_raw(trees, binned, 1.0, 0.5)
         assert np.array_equal(got, expected)
 
     def test_empty_ensemble_scores_base_only(self):
@@ -172,20 +188,20 @@ class TestTraversalProperties:
         with pytest.raises(ValidationError, match="uint8"):
             traverse(forest, np.zeros((3, 2), dtype=np.int64))
 
-    def test_tree_major_bulk_path_bit_identical(self, monkeypatch):
-        """Bulk batches take the tree-major sweep; same bits either way."""
+    def test_tree_major_bulk_path_bit_identical(self):
+        """Both sides of the row-count switch match the node-by-node walk."""
         rng = np.random.default_rng(3)
         trees = _random_trees(rng, 5, 4, 3, 0.8)
         forest = flatten_ensemble(trees)
-        n_rows = kernels.TREE_MAJOR_MIN_ROWS + 7
-        binned = rng.integers(0, 256, size=(n_rows, 3)).astype(np.uint8)
+        binned = rng.integers(
+            0, 256, size=(TREE_MAJOR_MIN_ROWS, 3)
+        ).astype(np.uint8)
+        expected = _oracle_raw(trees, binned, 0.5, 0.1)
+        level_sync = predict_raw(
+            forest, binned[:-1], base_score=0.5, learning_rate=0.1
+        )
         bulk = predict_raw(forest, binned, base_score=0.5, learning_rate=0.1)
-        monkeypatch.setattr(kernels, "TREE_MAJOR_MIN_ROWS", n_rows + 1)
-        level_sync = predict_raw(forest, binned, base_score=0.5, learning_rate=0.1)
-        assert np.array_equal(bulk, level_sync)
-        expected = np.full(n_rows, 0.5)
-        for tree in trees:
-            expected += 0.1 * tree.predict_binned(binned)
+        assert np.array_equal(level_sync, expected[:-1])
         assert np.array_equal(bulk, expected)
 
     def test_chunked_traversal_matches_unchunked(self, monkeypatch):
@@ -208,12 +224,7 @@ class TestFittedModelParity:
         gb.fit(X, y)
         assert gb._flat is not None
         assert gb._flat.n_trees == gb.n_estimators_
-        flat = gb.decision_function(X)
-        pertree = gb._decision_function_pertree(X)
-        assert np.array_equal(flat, pertree)
-        if numba_available():
-            with use_backend("numba"):
-                assert np.array_equal(gb.decision_function(X), pertree)
+        assert np.array_equal(gb.decision_function(X), _pertree_raw(gb, X))
 
     def test_refit_invalidates_flat_cache(self, binary_dataset):
         X, y = binary_dataset
@@ -223,7 +234,7 @@ class TestFittedModelParity:
         gb.fit(X[800:1600], y[800:1600])
         assert gb._flat is not first
         assert np.array_equal(
-            gb.decision_function(X[:100]), gb._decision_function_pertree(X[:100])
+            gb.decision_function(X[:100]), _pertree_raw(gb, X[:100])
         )
 
     def test_predict_does_not_reflatten(self, binary_dataset, monkeypatch):
@@ -271,49 +282,3 @@ class TestFittedModelParity:
         assert np.array_equal(
             fresh.decision_function(X[:100]), gb.decision_function(X[:100])
         )
-
-
-class TestBackendSelection:
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        previous = get_backend()
-        yield
-        set_backend(previous)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown scoring backend"):
-            set_backend("cython")
-        assert get_backend() in kernels.KERNEL_BACKENDS
-
-    def test_predict_raw_rejects_unknown_backend(self):
-        trees = _random_trees(np.random.default_rng(0), 1, 2, 2, 1.0)
-        forest = flatten_ensemble(trees)
-        with pytest.raises(ValidationError, match="unknown scoring backend"):
-            predict_raw(
-                forest,
-                np.zeros((2, 2), dtype=np.uint8),
-                base_score=0.0,
-                learning_rate=0.1,
-                backend="fortran",
-            )
-
-    def test_numba_fallback_warns_and_uses_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_OK", False)
-        with pytest.warns(KernelBackendWarning, match="falling back"):
-            effective = set_backend("numba")
-        assert effective == "numpy"
-        assert get_backend() == "numpy"
-
-    def test_use_backend_restores_previous(self):
-        assert get_backend() == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelBackendWarning)
-            with use_backend("numba"):
-                assert get_backend() in kernels.KERNEL_BACKENDS
-        assert get_backend() == "numpy"
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_backend_selectable_when_available(self):
-        with use_backend("numba") as effective:
-            assert effective == "numba"
-            assert get_backend() == "numba"

@@ -9,13 +9,10 @@ against the plain trace, and a scripted regime change must shard to the
 serial bits), the fault injector stack twice on top, and the online
 serve-replay path twice
 (each against a fresh registry root), then compares content hashes of
-the trace arrays, the fault logs, and the replay reports.  A
-scoring-kernel backend-parity leg then replays once under the numba
-kernel (skipped cleanly when numba is absent): its digest must be
-bit-identical to the numpy replay, since the backends promise exact
-score equality.  The same replay is then
-repeated under a chaos plan (retries, fallbacks, dead-letter replay must
-all be seed-stable), and finally killed mid-stream and resumed from its
+the trace arrays, the fault logs, and the replay reports.  The same
+replay is then repeated under a chaos plan (retries, fallbacks,
+dead-letter replay must all be seed-stable), and finally killed
+mid-stream and resumed from its
 checkpoint — the resumed digest must be bit-identical to the
 uninterrupted chaos run.  A final leg exercises the durable segmented
 store: a 4-segment out-of-core write must stream back the serial bits,
@@ -50,7 +47,6 @@ from repro.scenarios import Scenario, scenario_preset
 from repro.faults import FaultSpec, inject_faults
 from repro.features.splits import make_paper_splits
 from repro.gateway import GatewayConfig, build_gateway, run_fleet
-from repro.ml.kernels import numba_available, use_backend
 from repro.parallel.simulate import simulate_trace_sharded
 from repro.serve import ChaosPlan, serve_replay
 from repro.store import (
@@ -239,26 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"  GATEWAY DROPPED EVENTS: {gateway.stats.to_dict()}")
         failures += 1
-
-    print("scoring-kernel backend parity (numpy vs numba) ...", flush=True)
-    if not numba_available():
-        print("  numba not installed; skipped (numpy kernel is the digest oracle)")
-    else:
-        with tempfile.TemporaryDirectory() as root, use_backend("numba"):
-            numba_report = serve_replay(
-                trace_a, root, splits=splits, batch_size=64, fast=True
-            )
-        if numba_report.digest() == replay_digests[0]:
-            print(
-                f"  backend parity ok (numba replay digest "
-                f"{numba_report.digest()[:16]}... matches numpy)"
-            )
-        else:
-            print(
-                f"  BACKEND PARITY MISMATCH: numba {numba_report.digest()[:16]} "
-                f"!= numpy {replay_digests[0][:16]}"
-            )
-            failures += 1
 
     print("replaying under chaos twice ...", flush=True)
     chaos = ChaosPlan(intensity=args.intensity, seed=args.fault_seed)
