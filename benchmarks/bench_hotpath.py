@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""Hot-path scoring benchmark: per-tree loop vs flattened kernels.
+"""Hot-path benchmark: per-tree scoring loop vs flattened kernels, and
+per-feature vs flat histogram split search in training.
 
-Measures single-core GBDT batch-scoring throughput three ways and seeds
-``BENCH_hotpath.json`` for the CI regression gate:
+Measures single-core GBDT batch-scoring throughput three ways, and tree
+fitting once, and seeds ``BENCH_hotpath.json`` for the CI regression
+gate:
 
 * **kernel legs** — raw margin computation (binned codes in, scores
   out) at the serving micro-batch sizes (32, 256) and in bulk, for the
@@ -12,14 +14,18 @@ Measures single-core GBDT batch-scoring throughput three ways and seeds
   (:class:`~repro.serve.scorer.MicroBatchScorer`: queue + fused row
   assembly + TwoStage prediction) under both scoring paths;
 * **row-fusion leg** — :func:`~repro.serve.engine.rows_to_matrix`
-  batch assembly throughput.
+  batch assembly throughput;
+* **fit leg** — boosting rounds of :class:`~repro.ml.tree.GradHessTree`
+  on the binned training set, with the legacy per-feature split-search
+  loop against the flat histogram pass (its ``rows_per_sec`` counts
+  training rows times trees grown).
 
-Every leg scores identical inputs on both paths and asserts bit-equal
-outputs before timing — a benchmark that drifts from the exactness
-contract must fail, not report a meaningless speedup.  Absolute rows/sec
-are machine-specific; the committed regression baseline therefore pins
-the machine-relative ``speedup`` ratios, which CI re-measures with
-``--quick``.
+Every leg runs identical inputs on both paths and asserts bit-equal
+outputs (scores, or grown trees) before timing — a benchmark that
+drifts from the exactness contract must fail, not report a meaningless
+speedup.  Absolute rows/sec are machine-specific; the committed
+regression baseline therefore pins the machine-relative ``speedup``
+ratios, which CI re-measures with ``--quick``.
 
 Usage::
 
@@ -61,6 +67,37 @@ def _pertree_raw(gb, binned: np.ndarray) -> np.ndarray:
     for tree in gb._trees:
         raw += gb.learning_rate * tree.predict_binned(binned)
     return raw
+
+
+def _per_feature_best_split(self, binned, indices, g, h, g_sum, h_sum):
+    """The legacy split search: one histogram pass per feature."""
+    lam = self.reg_lambda
+    parent_score = g_sum**2 / (h_sum + lam)
+    best_gain = self.min_gain
+    best = None
+    rows = binned[indices]
+    for feature in range(binned.shape[1]):
+        codes = rows[:, feature]
+        g_hist = np.bincount(codes, weights=g, minlength=self._n_bins)
+        h_hist = np.bincount(codes, weights=h, minlength=self._n_bins)
+        n_hist = np.bincount(codes, minlength=self._n_bins)
+        gl = np.cumsum(g_hist)[:-1]
+        hl = np.cumsum(h_hist)[:-1]
+        nl = np.cumsum(n_hist)[:-1]
+        gr = g_sum - gl
+        hr = h_sum - hl
+        nr = indices.size - nl
+        valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
+        if not valid.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
+        gains[~valid | ~np.isfinite(gains)] = -np.inf
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (feature, k)
+    return best
 
 
 def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
@@ -151,6 +188,59 @@ def bench_row_fusion_leg(schema, rows, *, repeats: int) -> dict:
     return {"label": "row_fusion", "rows_per_sec": round(len(rows) / best, 1)}
 
 
+def bench_fit_leg(gb, X, y, *, n_trees: int, repeats: int) -> list[dict]:
+    """Boosting rounds with the per-feature split search vs the flat pass."""
+    from repro.ml.base import sigmoid
+    from repro.ml.tree import GradHessTree
+
+    per_feature_tree = type(
+        "PerFeatureTree", (GradHessTree,), {"_best_split": _per_feature_best_split}
+    )
+    binned = gb._binner.transform(X)
+    params = {
+        "max_depth": gb.max_depth,
+        "min_samples_leaf": gb.min_samples_leaf,
+        "reg_lambda": gb.reg_lambda,
+    }
+
+    def boost(tree_cls) -> list:
+        raw = np.zeros(binned.shape[0])
+        trees = []
+        for _ in range(n_trees):
+            probs = sigmoid(raw)
+            tree = tree_cls(**params).fit(
+                binned, probs - y, probs * (1.0 - probs), n_bins=gb.n_bins
+            )
+            raw += gb.learning_rate * tree.predict_binned(binned)
+            trees.append(tree)
+        return trees
+
+    for old, new in zip(boost(per_feature_tree), boost(GradHessTree)):
+        for a, b in zip(old.arrays.as_numpy(), new.arrays.as_numpy()):
+            assert a.tobytes() == b.tobytes(), "split search broke bit-identity"
+    seconds = {
+        label: _best_seconds(
+            lambda: boost(tree_cls), repeats=repeats, min_rows=1, batch_rows=1
+        )
+        for label, tree_cls in (
+            ("fit_pertree", per_feature_tree),
+            ("fit_numpy", GradHessTree),
+        )
+    }
+    row_trees = binned.shape[0] * n_trees
+    return [
+        {
+            "label": "fit_pertree",
+            "rows_per_sec": round(row_trees / seconds["fit_pertree"], 1),
+        },
+        {
+            "label": "fit_numpy",
+            "rows_per_sec": round(row_trees / seconds["fit_numpy"], 1),
+            "speedup": round(seconds["fit_pertree"] / seconds["fit_numpy"], 2),
+        },
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", default="tiny")
@@ -208,10 +298,16 @@ def main() -> int:
     rows = list(engine.stream(iter_trace_events(trace)))
     entries.extend(bench_microbatch_leg(predictor, engine.schema, rows, repeats=repeats))
     entries.append(bench_row_fusion_leg(engine.schema, rows, repeats=repeats))
+    entries.extend(
+        bench_fit_leg(
+            gb, train.X, train.y, n_trees=10 if args.quick else 30, repeats=repeats
+        )
+    )
 
     for entry in entries:
         speedup = entry.get("speedup")
-        suffix = f"  ({speedup:.2f}x vs per-tree)" if speedup is not None else ""
+        baseline = "per-feature" if entry["label"].startswith("fit_") else "per-tree"
+        suffix = f"  ({speedup:.2f}x vs {baseline})" if speedup is not None else ""
         print(f"{entry['label']:>20}: {entry['rows_per_sec']:12,.0f} rows/s{suffix}")
 
     headline = next(e for e in entries if e["label"] == "numpy_batch32")

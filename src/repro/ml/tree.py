@@ -30,6 +30,14 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["FeatureBinner", "GradHessTree", "DecisionTreeRegressor", "DecisionTreeClassifier"]
 
+#: Most (row, feature) entries one ``bincount`` of the split search
+#: takes.  A node's histograms are built in blocks of features holding
+#: at most this many entries (one feature at a time once a node has
+#: more rows), so the flat indices and repeated weights, 8 bytes an
+#: entry each, stay cache-sized, and on large nodes grow with the rows
+#: rather than with rows x features.
+_SPLIT_BLOCK_ENTRIES = 1 << 16
+
 
 class FeatureBinner:
     """Quantile-based feature quantizer shared by trees in one ensemble."""
@@ -162,6 +170,15 @@ class GradHessTree:
         """Grow the tree on bin codes ``binned`` and per-sample grad/hess."""
         if binned.dtype != np.uint8:
             raise ValidationError("binned matrix must be uint8 bin codes")
+        if n_bins < 2:
+            raise ValidationError(f"n_bins must be at least 2, got {n_bins}")
+        # A code past the last bin would land in the next feature's
+        # histogram in the flat split search, so refuse it up front.
+        max_code = int(binned.max()) if binned.size else 0
+        if max_code >= n_bins:
+            raise ValidationError(
+                f"bin code {max_code} out of range for n_bins={n_bins}"
+            )
         self._n_bins = int(n_bins)
         self._arrays = _TreeArrays()
         root = self._arrays.add_node()
@@ -217,35 +234,55 @@ class GradHessTree:
         g_sum: float,
         h_sum: float,
     ) -> tuple[int, int] | None:
+        """Best ``(feature, bin)`` split of the node's rows, or ``None``.
+
+        The gradient, hessian and count histograms of a block of features
+        come from one ``bincount`` each over the flat indices
+        ``code + feature * n_bins`` of the node's rows.  ``bincount`` adds
+        in input order, so every bin still sums its rows in row order.
+        The gain is then evaluated once over the whole (features x
+        thresholds) matrix, and its row-major ``argmax`` picks the first
+        feature, then the first bin, among equal gains.
+        """
         lam = self.reg_lambda
-        parent_score = g_sum**2 / (h_sum + lam)
-        best_gain = self.min_gain
-        best: tuple[int, int] | None = None
+        n_bins = self._n_bins
+        n_rows = indices.size
         rows = binned[indices]
-        for feature in range(binned.shape[1]):
-            codes = rows[:, feature]
-            g_hist = np.bincount(codes, weights=g, minlength=self._n_bins)
-            h_hist = np.bincount(codes, weights=h, minlength=self._n_bins)
-            n_hist = np.bincount(codes, minlength=self._n_bins)
-            gl = np.cumsum(g_hist)[:-1]
-            hl = np.cumsum(h_hist)[:-1]
-            nl = np.cumsum(n_hist)[:-1]
-            gr = g_sum - gl
-            hr = h_sum - hl
-            nr = indices.size - nl
-            valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
-            if not valid.any():
-                continue
-            # With lam == 0 an empty side has hl/hr == 0; those candidates
-            # are masked out below, so silence the harmless 0/0.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
-            gains[~valid | ~np.isfinite(gains)] = -np.inf
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                best = (feature, k)
-        return best
+        n_features = rows.shape[1]
+        block = max(1, _SPLIT_BLOCK_ENTRIES // n_rows)
+        g_hist = np.empty((n_features, n_bins))
+        h_hist = np.empty((n_features, n_bins))
+        n_hist = np.empty((n_features, n_bins), dtype=np.intp)
+        for start in range(0, n_features, block):
+            codes = rows[:, start : start + block]
+            width = codes.shape[1]
+            flat = (codes + np.arange(width) * n_bins).ravel()
+            size = width * n_bins
+            g_block = np.bincount(flat, weights=np.repeat(g, width), minlength=size)
+            h_block = np.bincount(flat, weights=np.repeat(h, width), minlength=size)
+            n_block = np.bincount(flat, minlength=size)
+            g_hist[start : start + width] = g_block.reshape(width, n_bins)
+            h_hist[start : start + width] = h_block.reshape(width, n_bins)
+            n_hist[start : start + width] = n_block.reshape(width, n_bins)
+        # Left-side sums for thresholds 0 .. n_bins - 2.
+        gl = np.cumsum(g_hist, axis=1)[:, :-1]
+        hl = np.cumsum(h_hist, axis=1)[:, :-1]
+        nl = np.cumsum(n_hist, axis=1)[:, :-1]
+        gr = g_sum - gl
+        hr = h_sum - hl
+        nr = n_rows - nl
+        valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
+        parent_score = g_sum**2 / (h_sum + lam)
+        # With lam == 0 an empty side has hl/hr == 0; those candidates
+        # are masked out below, so silence the harmless 0/0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
+        gains[~valid | ~np.isfinite(gains)] = -np.inf
+        k = int(np.argmax(gains))
+        if gains.flat[k] > self.min_gain:
+            feature, bin_threshold = divmod(k, n_bins - 1)
+            return feature, bin_threshold
+        return None
 
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:
         """Predict from bin codes via the shared vectorized frontier walk."""

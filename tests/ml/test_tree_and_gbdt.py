@@ -56,6 +56,20 @@ class TestGradHessTree:
         with pytest.raises(ValidationError):
             tree.fit(np.zeros((4, 1)), np.zeros(4), np.ones(4), n_bins=8)
 
+    def test_rejects_out_of_range_bin_codes(self):
+        """A code >= n_bins would spill into the next feature's histogram."""
+        binned = np.zeros((40, 2), dtype=np.uint8)
+        binned[:20, 0] = 8
+        with pytest.raises(ValidationError, match="out of range"):
+            GradHessTree().fit(binned, np.zeros(40), np.ones(40), n_bins=8)
+        GradHessTree().fit(binned, np.zeros(40), np.ones(40), n_bins=9)
+
+    def test_rejects_single_bin(self):
+        with pytest.raises(ValidationError, match="n_bins"):
+            GradHessTree().fit(
+                np.zeros((4, 1), dtype=np.uint8), np.zeros(4), np.ones(4), n_bins=1
+            )
+
     def test_pure_split_recovery(self):
         """A single informative feature should be split on exactly."""
         X = np.linspace(0, 1, 200).reshape(-1, 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.presets import preset_config
 from repro.parallel.simulate import simulate_trace_sharded
@@ -19,28 +19,37 @@ from repro.telemetry.config import ErrorModelConfig, TraceConfig, WorkloadConfig
 from repro.telemetry.simulator import TraceSimulator, merge_shard_results
 from repro.topology.machine import MachineConfig
 from repro.topology.sharding import plan_shards
+from repro.utils.errors import SimulationError
 
 from tests.parallel._compare import assert_traces_bit_identical
 
 
-@st.composite
-def small_trace_configs(draw) -> TraceConfig:
-    """Random tiny machines (a few dozen nodes, 1-2 simulated days)."""
+def _trace_config(
+    *,
+    grid_x: int,
+    grid_y: int,
+    slots_per_cage: int,
+    nodes_per_slot: int,
+    mean_runtime_minutes: float,
+    target_utilization: float,
+    duration_days: float,
+    seed: int,
+) -> TraceConfig:
     machine = MachineConfig(
-        grid_x=draw(st.integers(1, 3)),
-        grid_y=draw(st.integers(1, 4)),
+        grid_x=grid_x,
+        grid_y=grid_y,
         cages_per_cabinet=1,
-        slots_per_cage=draw(st.integers(1, 2)),
-        nodes_per_slot=draw(st.sampled_from([2, 4])),
+        slots_per_cage=slots_per_cage,
+        nodes_per_slot=nodes_per_slot,
     )
     return TraceConfig(
         machine=machine,
         workload=WorkloadConfig(
             num_applications=8,
-            mean_runtime_minutes=draw(st.sampled_from([180.0, 420.0])),
+            mean_runtime_minutes=mean_runtime_minutes,
             mean_nodes_per_run=2.0,
             max_nodes_per_run=min(8, machine.num_nodes),
-            target_utilization=draw(st.sampled_from([0.5, 0.85])),
+            target_utilization=target_utilization,
         ),
         # Hot error model so SBE draws actually exercise the per-(run,
         # node) substreams instead of all skipping below the threshold.
@@ -49,27 +58,75 @@ def small_trace_configs(draw) -> TraceConfig:
             offender_node_fraction=0.2,
             quiet_day_factor=0.01,
         ),
-        duration_days=draw(st.sampled_from([1.0, 2.0])),
+        duration_days=duration_days,
         tick_minutes=30.0,
-        seed=draw(st.integers(0, 2**16)),
+        seed=seed,
         record_nodes=(1,),
     )
+
+
+@st.composite
+def small_trace_configs(draw) -> TraceConfig:
+    """Random tiny machines (a few dozen nodes, 1-2 simulated days)."""
+    return _trace_config(
+        grid_x=draw(st.integers(1, 3)),
+        grid_y=draw(st.integers(1, 4)),
+        slots_per_cage=draw(st.integers(1, 2)),
+        nodes_per_slot=draw(st.sampled_from([2, 4])),
+        mean_runtime_minutes=draw(st.sampled_from([180.0, 420.0])),
+        target_utilization=draw(st.sampled_from([0.5, 0.85])),
+        duration_days=draw(st.sampled_from([1.0, 2.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+#: A draw with no samples at all: 2 nodes for 1 day at half utilization.
+#: The serial simulation rightly refuses it with ``SimulationError``.
+NO_SAMPLE_CONFIG = _trace_config(
+    grid_x=1,
+    grid_y=1,
+    slots_per_cage=1,
+    nodes_per_slot=2,
+    mean_runtime_minutes=180.0,
+    target_utilization=0.5,
+    duration_days=1.0,
+    seed=96,
+)
 
 
 class TestShardParity:
     @settings(max_examples=25, deadline=None)
     @given(config=small_trace_configs(), shards=st.sampled_from([1, 2, 4]))
+    @example(config=NO_SAMPLE_CONFIG, shards=2)
     def test_sharded_merge_is_bit_identical_to_serial(self, config, shards):
-        serial = TraceSimulator(config).run()
         spans = plan_shards(config.machine, shards)
-        results = [TraceSimulator(config, span).run_span() for span in spans]
-        merged = merge_shard_results(config, results)
+
+        def sharded():
+            results = [TraceSimulator(config, span).run_span() for span in spans]
+            return merge_shard_results(config, results)
+
+        try:
+            serial = TraceSimulator(config).run()
+        except SimulationError as refused:
+            # Parity for a refused config: the sharded path refuses it too.
+            with pytest.raises(type(refused)):
+                sharded()
+            return
+        merged = sharded()
         assert_traces_bit_identical(serial, merged)
         assert merged.meta["shards"] == len(spans)
 
     @settings(max_examples=5, deadline=None)
     @given(config=small_trace_configs())
+    @example(config=NO_SAMPLE_CONFIG)
     def test_shard_counts_agree_with_each_other(self, config):
+        try:
+            TraceSimulator(config).run()
+        except SimulationError as refused:
+            for shards in (1, 2, 4):
+                with pytest.raises(type(refused)):
+                    simulate_trace_sharded(config, shards=shards, jobs=1)
+            return
         digests = []
         for shards in (1, 2, 4):
             trace = simulate_trace_sharded(config, shards=shards, jobs=1)

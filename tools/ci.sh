@@ -291,11 +291,11 @@ python -m repro.cli obs diff "$workdir/obs-snap.json" "$workdir/obs-snap.json"
 
 echo
 echo "== hot-path kernel bench (quick) =="
-# Re-measures GBDT batch scoring on this machine with the fast model
-# caps.  The script itself asserts bit-identical scores across paths and
-# a minimum micro-batch speedup.  The quick result goes to a scratch
-# copy of the committed BENCH_*.json set, so the full-caps
-# BENCH_hotpath.json in the tree is never overwritten.
+# Re-measures GBDT batch scoring and tree fitting on this machine with
+# the fast model caps.  The script itself asserts bit-identical scores
+# and grown trees across paths and a minimum micro-batch speedup.  The
+# quick result goes to a scratch copy of the committed BENCH_*.json set,
+# so the full-caps BENCH_hotpath.json in the tree is never overwritten.
 bench_dir="$workdir/bench"
 mkdir -p "$bench_dir"
 cp BENCH_*.json "$bench_dir/"
