@@ -1,8 +1,8 @@
 """The fleet serving gateway: sharded async scoring with alarms.
 
-This is the operational front end ROADMAP item 2 asks for: instead of
-replaying one trace through one scorer (:func:`repro.serve.serve_replay`),
-the gateway accepts a fleet's event stream, routes it across N scorer
+This is the fleet front end of the online path: instead of replaying
+one trace through one scorer (:func:`repro.serve.serve_replay`), the
+gateway accepts a fleet's event stream, routes it across N scorer
 shards by consistent-hashing the node id, folds the resulting alerts
 into operator alarms and per-node score trends, and keeps strict
 zero-drop accounting: every accepted event is either scored, dead-
@@ -11,19 +11,23 @@ lettered, or rejected — never silently lost.
 Sharding model
 --------------
 Each shard is one :class:`~repro.serve.worker.ScorerWorker` — the exact
-loop body ``serve_replay`` runs — behind an ``asyncio.Queue``:
+loop body ``serve_replay`` runs, built by the same
+:func:`~repro.serve.worker.build_workers` set-up — behind an
+``asyncio.Queue``:
 
 * ``RunStarted`` / ``RunCompleted`` split **row-wise by node owner**:
-  each shard receives only the rows whose node it owns (rows keep their
-  original order, so per-row features are unchanged by the split);
+  each shard receives only the rows whose node it owns, in their
+  original order;
 * ``SbeObserved`` / ``JobResolved`` **broadcast to every shard**: the
   feature engine's SBE history is machine-global (neighbourhood error
-  pressure), so every shard must observe every error event to compute
-  the same per-row features the single-scorer replay computes.
+  pressure), so every shard must observe every error event.
 
-This makes per-row features bit-identical at any shard count, and with
-one shard the delivered stream is exactly the replay stream — the basis
-for the gateway-vs-replay digest parity gate.  Chaos plans shift their
+With one shard the delivered stream is exactly the replay stream, at
+any client count — the basis for the gateway-vs-replay digest parity
+gate.  With more shards, per-row features are *not* yet identical: the
+per-run ``alloc_today`` feature averages over the rows a shard receives,
+i.e. only its share of a split run's nodes (see ``perfbench/README.md``;
+a strict ``xfail`` pins the 2-shard mismatch).  Chaos plans shift their
 seed per shard (``seed + shard_id``) so shard 0 of a 1-shard gateway
 reproduces the replay's chaos draws bit-for-bit.
 
@@ -44,39 +48,35 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.baselines import BasicB
 from repro.core.pipeline import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
-from repro.features.builder import build_features, compute_top_apps
+from repro.features.builder import build_features
 from repro.features.splits import DatasetSplit
 from repro.gateway.alarms import AlarmConfig, AlarmEngine
 from repro.obs import MetricsRegistry, get_registry
 from repro.gateway.clock import VirtualClock
 from repro.gateway.router import ConsistentHashRing
 from repro.gateway.watcher import RegistryWatcher
-from repro.serve.engine import StreamingFeatureEngine
 from repro.serve.events import JobResolved, RunCompleted, RunStarted, SbeObserved
-from repro.serve.drift import DriftConfig, DriftMonitor
-from repro.serve.registry import ModelRegistry
-from repro.serve.resilience import (
-    AllNegativeFallback,
-    ChaosInjector,
-    ChaosPlan,
-    SupervisedScorer,
+from repro.serve.drift import (
+    DriftConfig,
+    DriftMonitor,
+    RetrainGovernor,
+    record_drift_metrics,
 )
-from repro.serve.scorer import Alert, ScorerConfig
-from repro.serve.worker import ScorerWorker, scored_alert_digest
+from repro.serve.registry import ModelRegistry
+from repro.serve.resilience import ChaosPlan
+from repro.serve.scorer import Alert
+from repro.serve.worker import ScorerWorker, build_workers, scored_alert_digest
 from repro.telemetry.trace import Trace
 from repro.utils.errors import ValidationError
 
 __all__ = ["GatewayConfig", "GatewayStats", "Gateway", "build_gateway"]
-
-MINUTES_PER_DAY = 1440.0
 
 #: Queue sentinel telling a shard loop to exit.
 _STOP = object()
@@ -213,23 +213,15 @@ class Gateway:
             "repro_serve_active_model_version",
             "Registry version of the model currently serving.",
         )
-        #: Observational drift monitor over the scored stream (no
-        #: governor: the gateway swaps models via the registry watcher,
-        #: so drift here raises alarms and gauges, it never retrains).
+        #: Observational drift monitor over the scored stream.  The
+        #: governor supplies only the check throttle and the trigger
+        #: cooldown: the gateway swaps models via the registry watcher,
+        #: so drift here raises alarms and gauges, it never retrains.
         self.drift = (
             None if self.config.drift is None else DriftMonitor(self.config.drift)
         )
-        self.drift_alarms = 0
-        self._drift_cursors = [0] * len(workers)
-        self._drift_last_check: float | None = None
-        self._drift_last_alarm: float | None = None
-        self._drift_gauge = (
-            None
-            if self.drift is None
-            else self.registry.gauge(
-                "repro_serve_drift_statistic",
-                "Current drift-detector statistics, by detector.",
-            )
+        self.drift_governor = (
+            None if self.config.drift is None else RetrainGovernor(self.config.drift)
         )
         self._queues: list[asyncio.Queue] = []
         self._tasks: list[asyncio.Task] = []
@@ -398,32 +390,12 @@ class Gateway:
             raised = len(self.alarm_engine.alarms) - alarms_before
             if raised:
                 self._alarms_counter.inc(raised)
-            if self.drift is not None:
-                self.drift.observe_alert(alert)
         if self.drift is not None and alerts:
-            self._feed_drift()
-            self._check_drift(max(float(a.scored_minute) for a in alerts))
+            self._watch_drift(max(float(a.scored_minute) for a in alerts))
 
     # -------------------------------------------------------------- drift
-    def _feed_drift(self) -> None:
-        """Advance per-shard cursors over emitted rows into the monitor.
-
-        Only rows inside the scoring window feed the feature-PSI
-        reference/current histograms — the same stream the model
-        actually scores.  Labels broadcast to every shard, so shard 0's
-        map is the machine-global ground truth.
-        """
-        for shard_id, worker in enumerate(self.workers):
-            rows = worker.history_rows
-            lo = None if worker.window is None else worker.window[0]
-            for row in rows[self._drift_cursors[shard_id] :]:
-                if lo is None or row.start_minute >= lo:
-                    self.drift.observe_row(row)
-            self._drift_cursors[shard_id] = len(rows)
-        self.drift.match_labels(self.workers[0].labels)
-
-    def _check_drift(self, now: float) -> None:
-        """Publish detector gauges; raise a ``drift`` alarm on trigger.
+    def _watch_drift(self, now: float) -> None:
+        """Feed the monitor; publish gauges and raise ``drift`` alarms.
 
         ``now`` is the event time of the newest absorbed alert, not the
         ingest clock: a flooding client can push ``clock.now`` to the
@@ -432,36 +404,28 @@ class Gateway:
         instant.  Scored-stream time interleaves correctly no matter
         how far ingestion runs ahead of scoring.
         """
-        cfg = self.config.drift
-        if (
-            self._drift_last_check is not None
-            and now - self._drift_last_check < cfg.check_every_minutes
-        ):
+        self.drift.feed(self.workers, self.scored_alerts)
+        if not self.drift_governor.should_check(now):
             return
-        self._drift_last_check = now
-        state = self.drift.state()
-        for detector in ("feature_psi", "score_psi", "f1_decay", "rolling_f1"):
-            self._drift_gauge.set(state[detector], detector=detector)
-        reason = self.drift.drift_reason()
+        record_drift_metrics(self.drift, registry=self.registry)
+        reason = self.drift_governor.drift_trigger(now, self.drift)
         if reason is None:
             return
-        if (
-            self._drift_last_alarm is not None
-            and now - self._drift_last_alarm < cfg.cooldown_minutes
-        ):
-            return
-        self._drift_last_alarm = now
-        self.drift_alarms += 1
         alarms_before = len(self.alarm_engine.alarms)
         self.alarm_engine.signal(
             node_id=-1,
             kind="drift",
             minute=now,
-            score=state.get(reason, 0.0),
+            score=self.drift.state().get(reason, 0.0),
         )
         raised = len(self.alarm_engine.alarms) - alarms_before
         if raised:
             self._alarms_counter.inc(raised, kind="drift")
+
+    @property
+    def drift_alarms(self) -> int:
+        """Drift alarms signalled so far (one per governor trigger)."""
+        return 0 if self.drift_governor is None else len(self.drift_governor.triggers)
 
     # ------------------------------------------------------------ queries
     def scored_alert_digest(self) -> str:
@@ -550,12 +514,12 @@ def build_gateway(
 ) -> Gateway:
     """Train, publish, and wire a gateway exactly like ``serve_replay``.
 
-    The model pipeline is byte-for-byte the replay preamble: batch
-    features -> split -> :class:`TwoStagePredictor` fit on the training
-    window -> registry save -> checksum-verified load -> per-shard
-    :class:`SupervisedScorer` with the Basic-B / all-negative fallback
-    chain.  That shared preamble (plus the routing rules above) is what
-    makes the single-shard gateway digest bit-identical to replay.
+    Batch features -> split -> :class:`TwoStagePredictor` fit on the
+    training window, then the set-up replay also uses,
+    :func:`~repro.serve.worker.build_workers` (registry save ->
+    checksum-verified load -> one supervised worker per shard).  That
+    shared set-up (plus the routing rules above) is what makes the
+    single-shard gateway digest bit-identical to replay.
     """
     config = config or GatewayConfig()
     features = build_features(trace, top_k_apps=top_k_apps)
@@ -566,8 +530,11 @@ def build_gateway(
     predictor.fit(train)
 
     registry = ModelRegistry(registry_root)
-    entry = registry.save_model(
+    workers = build_workers(
+        trace,
+        registry,
         predictor,
+        train,
         name=registry_name,
         metadata={
             "split": split,
@@ -577,57 +544,19 @@ def build_gateway(
             "fast": fast,
             "top_k_apps": top_k_apps,
         },
+        window=(split_obj.train_end, split_obj.test_end),
+        shards=config.shards,
+        batch_size=config.batch_size,
+        flush_deadline_minutes=config.flush_deadline_minutes,
+        top_k_apps=top_k_apps,
+        chaos=chaos,
     )
-    serving, entry = registry.load_model(
-        registry_name, entry.version, expect_feature_names=predictor.feature_names
-    )
-
-    top_apps = compute_top_apps(
-        np.asarray(trace.samples["app_id"], dtype=int), top_k_apps
-    )
-    span = (0.0, trace.config.duration_days * MINUTES_PER_DAY)
-    basic_b = BasicB().fit(train)
-    workers: list[ScorerWorker] = []
-    for shard_id in range(config.shards):
-        injector = (
-            None
-            if chaos is None
-            # Shift the seed per shard so shards draw independent chaos;
-            # shard 0 keeps the plan's own seed, so a 1-shard gateway
-            # reproduces the replay's chaos draws bit-for-bit.
-            else ChaosInjector(
-                replace(chaos, seed=chaos.seed + shard_id), span=span
-            )
-        )
-        engine = StreamingFeatureEngine(trace.machine, top_apps)
-        scorer = SupervisedScorer(
-            serving,
-            engine.schema,
-            ScorerConfig(
-                max_batch_size=config.batch_size,
-                flush_deadline_minutes=config.flush_deadline_minutes,
-            ),
-            model_version=entry.version,
-            chaos=injector,
-            fallbacks=[
-                ("basic_b", basic_b),
-                ("all_negative", AllNegativeFallback()),
-            ],
-        )
-        workers.append(
-            ScorerWorker(
-                engine,
-                scorer,
-                window=(split_obj.train_end, split_obj.test_end),
-                injector=injector,
-            )
-        )
 
     watcher = RegistryWatcher(
         registry,
         registry_name,
         num_shards=config.shards,
-        current_version=entry.version,
+        current_version=workers[0].scorer.model_version,
         expect_feature_names=predictor.feature_names,
         poll_interval_minutes=config.watch_interval_minutes,
     )

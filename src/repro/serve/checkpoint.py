@@ -6,8 +6,9 @@ answer: the resumed run has to produce *bit-identical* final metrics and
 digest to an uninterrupted run.  The store here gives that a commit
 protocol built on :mod:`repro.utils.io`:
 
-* the state bundle is pickled to ``ckpt-<events:08d>.pkl`` via an atomic
-  temp-then-rename write, then
+* the state bundle (for a replay, its one
+  :class:`~repro.serve.replay.ReplayController`) is pickled to
+  ``ckpt-<events:08d>.pkl`` via an atomic temp-then-rename write, then
 * a sibling ``ckpt-<events:08d>.json`` manifest (format version, event
   cursor, payload checksum, and a *compatibility key* hashing every
   replay parameter plus the trace fingerprint and chaos plan) is written
@@ -40,8 +41,9 @@ from repro.utils.io import (
 
 __all__ = ["CheckpointManager", "CheckpointInfo", "CHECKPOINT_FORMAT"]
 
-#: Bump when the pickled state bundle's layout changes incompatibly.
-CHECKPOINT_FORMAT = 2
+#: Bump when the pickled state bundle's layout changes incompatibly
+#: (3: the replay controller object replaced format 2's state dict).
+CHECKPOINT_FORMAT = 3
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.json$")
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.twostage import TwoStagePredictor
 from repro.features.builder import FeatureMatrix
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_positive
 
@@ -252,7 +252,8 @@ class RollingF1Monitor:
 class DriftMonitor:
     """Aggregates the three detectors and the label-matching plumbing.
 
-    The caller feeds emitted rows (:meth:`observe_row`), scored alerts
+    Replay and the gateway call :meth:`feed`, which forwards new
+    emitted rows (:meth:`observe_row`), scored alerts
     (:meth:`observe_alert`), and the growing resolved-label map
     (:meth:`match_labels`); the monitor pairs predictions with their
     ground truth as it arrives.  Pickles into replay checkpoints.
@@ -270,6 +271,31 @@ class DriftMonitor:
         #: (job_id, node_id) -> predicted, awaiting label resolution.
         self._pending: dict[tuple[int, int], int] = {}
         self._consumed: set[tuple[int, int]] = set()
+        #: Feed cursors: rows consumed per worker, alerts consumed.
+        self._rows_fed: list[int] = []
+        self._alerts_fed = 0
+
+    def feed(self, workers, alerts: list) -> None:
+        """Observe what ``workers`` (shards) and ``alerts`` added since last call.
+
+        Only rows ending inside the scoring window feed the feature PSI:
+        the reference must capture what the model serves, not the
+        trace's cold-start transient.  Labels broadcast to every shard,
+        so shard 0's map is the machine-wide truth.
+        """
+        for shard, worker in enumerate(workers):
+            if shard == len(self._rows_fed):
+                self._rows_fed.append(0)
+            rows = worker.history_rows
+            lo = None if worker.window is None else worker.window[0]
+            for row in rows[self._rows_fed[shard] :]:
+                if lo is None or row.end_minute >= lo:
+                    self.observe_row(row)
+            self._rows_fed[shard] = len(rows)
+        for alert in alerts[self._alerts_fed :]:
+            self.observe_alert(alert)
+        self._alerts_fed = len(alerts)
+        self.match_labels(workers[0].labels)
 
     def observe_row(self, row) -> None:
         """Feed one emitted feature row into the PSI detector."""
@@ -538,10 +564,14 @@ class RetrainGovernor:
 # Observability (lazy registry lookups; nothing here is pickled)
 # ----------------------------------------------------------------------
 def record_drift_metrics(
-    monitor: DriftMonitor, *, active_version: int | None = None, **labels
+    monitor: DriftMonitor,
+    *,
+    active_version: int | None = None,
+    registry: MetricsRegistry | None = None,
+    **labels,
 ) -> None:
-    """Publish detector gauges (and the active-model-version gauge)."""
-    registry = get_registry()
+    """Publish detector and active-version gauges (default: process registry)."""
+    registry = registry or get_registry()
     if not registry.enabled:
         return
     gauge = registry.gauge(

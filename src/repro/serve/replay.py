@@ -37,6 +37,14 @@ unused — the no-chaos digest is bit-identical to the undecorated path):
   every chaos draw is a pure function of the plan seed and restored
   counters — reproduces the uninterrupted run's metrics and digest
   bit-for-bit.
+
+The online path's state lives in one :class:`ReplayController`: the
+scoring worker (built by the set-up the gateway shares,
+:func:`~repro.serve.worker.build_workers`), the alerts, versions and
+notes, and the retrain and drift policy that runs between events.  A
+checkpoint pickles that one object.  Replay drives its worker directly,
+not through the async gateway, so its obs snapshot carries no alarm,
+trend or ``repro_gateway_*`` metrics.
 """
 
 from __future__ import annotations
@@ -50,10 +58,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.baselines import BasicB
 from repro.core.pipeline import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
-from repro.features.builder import build_features, compute_top_apps
+from repro.features.builder import build_features
 from repro.features.splits import DatasetSplit
 from repro.ml.metrics import classification_report
 from repro.serve.checkpoint import CheckpointManager
@@ -66,20 +73,22 @@ from repro.serve.drift import (
     record_retrain_outcome,
     record_rollback,
 )
-from repro.serve.engine import StreamedRow, StreamingFeatureEngine, rows_to_matrix
-from repro.serve.events import JobResolved, iter_trace_events
+from repro.serve.engine import rows_to_matrix
+from repro.serve.events import iter_trace_events
 from repro.serve.registry import ModelRegistry
 from repro.serve.resilience import (
-    AllNegativeFallback,
-    ChaosInjector,
     ChaosPlan,
     DeadLetter,
     ResilienceConfig,
     ResilienceCounters,
-    SupervisedScorer,
 )
-from repro.serve.scorer import Alert, ScorerConfig, ServeCounters
-from repro.serve.worker import ScorerWorker, scored_alert_digest, update_alert_digest
+from repro.serve.scorer import Alert, ServeCounters
+from repro.serve.worker import (
+    ScorerWorker,
+    build_workers,
+    scored_alert_digest,
+    update_alert_digest,
+)
 from repro.telemetry.trace import Trace
 from repro.utils.errors import (
     DegradedDataError,
@@ -89,32 +98,49 @@ from repro.utils.errors import (
     TelemetryFaultError,
     ValidationError,
 )
+from repro.utils.validation import check_positive
 
-__all__ = ["ReplayReport", "serve_replay"]
+__all__ = ["ReplayController", "ReplayReport", "serve_replay"]
 
 MINUTES_PER_DAY = 1440.0
 
 
+#: A per-class metric report, as :func:`classification_report` returns.
+ClassReport = dict[str, dict[str, float]]
+
+
+def _zero_class_report() -> ClassReport:
+    """A well-formed all-zero classification report (no samples)."""
+    return {
+        "sbe": {"precision": 0.0, "recall": 0.0, "f1": 0.0},
+        "non_sbe": {"precision": 0.0, "recall": 0.0, "f1": 0.0},
+        "overall": {"accuracy": 0.0},
+    }
+
+
 @dataclass
 class ReplayReport:
-    """Everything one ``serve_replay`` invocation measured."""
+    """Everything one ``serve_replay`` invocation measured.
+
+    The defaults describe a replay with nothing to score.
+    """
 
     split: str
     model: str
     registry_name: str
-    registry_versions: list[int]
-    num_events: int
-    rows_streamed: int
-    rows_test: int
-    counters: ServeCounters
-    alerts: list[Alert]
-    batch_report: dict[str, dict[str, float]]
-    online_report: dict[str, dict[str, float]]
+    registry_versions: list[int] = field(default_factory=list)
+    num_events: int = 0
+    rows_streamed: int = 0
+    rows_test: int = 0
+    counters: ServeCounters = field(default_factory=ServeCounters)
+    alerts: list[Alert] = field(default_factory=list)
+    batch_report: ClassReport = field(default_factory=_zero_class_report)
+    online_report: ClassReport = field(default_factory=_zero_class_report)
     #: Fraction of test samples where online and batch predictions agree.
-    agreement: float
+    agreement: float = 1.0
     #: max |online score - batch score| over the test window.
-    max_abs_score_diff: float
-    wall_seconds: float
+    max_abs_score_diff: float = 0.0
+    wall_seconds: float = 0.0
     retrains: int = 0
     #: Retrains triggered by the drift governor (subset of ``retrains``).
     drift_retrains: int = 0
@@ -280,15 +306,6 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _zero_class_report() -> dict[str, dict[str, float]]:
-    """A well-formed all-zero classification report (no samples)."""
-    return {
-        "sbe": {"precision": 0.0, "recall": 0.0, "f1": 0.0},
-        "non_sbe": {"precision": 0.0, "recall": 0.0, "f1": 0.0},
-        "overall": {"accuracy": 0.0},
-    }
-
-
 def _trace_fingerprint(trace: Trace) -> str:
     """Content hash binding a checkpoint to the exact trace it came from."""
     h = hashlib.sha256()
@@ -300,6 +317,251 @@ def _trace_fingerprint(trace: Trace) -> str:
         h.update(name.encode())
         h.update(np.ascontiguousarray(trace.runs[name]).tobytes())
     return h.hexdigest()
+
+
+class ReplayController:
+    """The online half of one replay: serving state plus its policy.
+
+    Owns the scoring worker, its alerts, the registry versions served,
+    the notes, the retrain cadence and, with drift on, the monitor and
+    governor.  A checkpoint pickles this one object; a resuming run
+    re-attaches its own :attr:`registry`.
+    """
+
+    def __init__(
+        self,
+        worker: ScorerWorker,
+        registry: ModelRegistry,
+        *,
+        name: str,
+        model: str,
+        random_state: int | None,
+        fast: bool,
+        retrain_every_days: float | None,
+        retrain_window_days: float | None,
+        drift: DriftConfig | None,
+        poison_retrains: tuple[int, ...],
+        notes: list[str],
+    ) -> None:
+        self.worker = worker
+        self.registry = registry
+        self.name = name
+        self.model = model
+        self.random_state = random_state
+        self.fast = fast
+        self.retrain_every_days = retrain_every_days
+        self.retrain_window_days = retrain_window_days
+        self.poison = frozenset(int(i) for i in poison_retrains)
+        self.notes = notes
+        self.alerts: list[Alert] = []
+        self.versions = [worker.scorer.model_version]
+        self.retrains = 0
+        self.retrain_attempts = 0
+        self.next_retrain = (
+            None
+            if retrain_every_days is None
+            else worker.window[0] + retrain_every_days * MINUTES_PER_DAY
+        )
+        self.monitor = None if drift is None else DriftMonitor(drift)
+        self.governor = None if drift is None else RetrainGovernor(drift)
+
+    # ------------------------------------------------------------ stream
+    def handle(self, event) -> None:
+        """Apply one stream event through the worker."""
+        self.alerts.extend(self.worker.handle_event(event, between=self.between_events))
+
+    def finish(self) -> None:
+        """End of stream: flush the worker's queue and dead letters."""
+        self.alerts.extend(self.worker.finish())
+
+    def between_events(self, now_minute: float) -> None:
+        """The worker's ``between`` hook: drift policy, then periodic retrain.
+
+        The governor stays inert until the model is actually serving.
+        """
+        monitor, governor = self.monitor, self.governor
+        if monitor is not None:
+            monitor.feed([self.worker], self.alerts)
+            if now_minute >= self.worker.window[0]:
+                if governor.should_rollback(monitor):
+                    self.roll_back(now_minute)
+                if governor.should_check(now_minute):
+                    record_drift_metrics(monitor, active_version=self.versions[-1])
+                    reason = governor.drift_trigger(now_minute, monitor)
+                    if reason is not None:
+                        self.notes.append(
+                            f"drift detected at minute {now_minute:g} ({reason}); "
+                            "triggering guarded retrain"
+                        )
+                        self.run_retrain(now_minute, "drift")
+        self.maybe_retrain(now_minute)
+
+    # ----------------------------------------------------------- retrain
+    def maybe_retrain(self, now_minute: float) -> None:
+        """Run every periodic retrain that has come due."""
+        while self.next_retrain is not None and now_minute >= self.next_retrain:
+            at = self.next_retrain
+            self.next_retrain += self.retrain_every_days * MINUTES_PER_DAY
+            self.run_retrain(at, "periodic")
+
+    def run_retrain(self, at: float, trigger: str) -> None:
+        """One refit attempt at event-time ``at`` (periodic or drift)."""
+        worker, governor, registry = self.worker, self.governor, self.registry
+        serving = worker.scorer.predictor
+        resolved = [
+            row
+            for row in worker.history_rows
+            if row.end_minute <= at and (row.job_id, row.node_id) in worker.labels
+        ]
+        if self.retrain_window_days is not None:
+            cutoff = at - self.retrain_window_days * MINUTES_PER_DAY
+            resolved = [row for row in resolved if row.end_minute > cutoff]
+        if not resolved:
+            self.notes.append(f"retrain at minute {at:g} skipped: no resolved rows")
+            record_retrain_outcome("skipped", trigger=trigger)
+            return
+        counts = np.asarray(
+            [worker.labels[(row.job_id, row.node_id)] for row in resolved],
+            dtype=np.int64,
+        )
+        if self.retrain_attempts in self.poison:
+            # Test hook: a uniformly inverted label set poisons the train
+            # split and its own holdout alike, so the candidate validates
+            # cleanly — only post-swap monitoring can catch it.
+            counts = np.where(counts > 0, 0, 1).astype(np.int64)
+            self.notes.append(
+                f"retrain attempt {self.retrain_attempts} at minute {at:g} "
+                "poisoned (labels inverted)"
+            )
+        holdout = None
+        if governor is not None:
+            candidate, holdout = fit_validated_candidate(
+                model=self.model,
+                rows=resolved,
+                counts=counts,
+                schema=worker.engine.schema,
+                serving=serving,
+                config=governor.config,
+                random_state=self.random_state,
+                fast=self.fast,
+            )
+            if candidate is None:
+                governor.retrains_rejected += 1
+                record_retrain_outcome("rejected", trigger=trigger)
+                self.notes.append(
+                    f"retrain at minute {at:g} rejected: {holdout.reason}"
+                )
+                return
+        else:
+            candidate = TwoStagePredictor(
+                self.model, random_state=self.random_state, fast=self.fast
+            )
+            try:
+                candidate.fit(
+                    rows_to_matrix(resolved, worker.engine.schema, sbe_counts=counts)
+                )
+            except ValidationError as exc:
+                self.notes.append(f"retrain at minute {at:g} skipped: {exc}")
+                record_retrain_outcome("failed", trigger=trigger)
+                return
+        attempt = self.retrain_attempts
+        self.retrain_attempts += 1
+        new_entry = registry.save_model(
+            candidate,
+            name=self.name,
+            metadata={
+                "retrained_at_minute": at,
+                "n_rows": len(resolved),
+                "trigger": trigger,
+            },
+        )
+        injector = worker.injector
+        if injector is not None and injector.swap_corrupts(attempt):
+            # Chaos: flip one payload byte after commit, before the
+            # pre-swap verification load — a torn/bit-rotted artifact.
+            payload_path = new_entry.path / new_entry.manifest["payload"]
+            blob = bytearray(payload_path.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            payload_path.write_bytes(bytes(blob))
+        try:
+            stall = (
+                0.0
+                if injector is None
+                else injector.registry_load_stall_seconds(attempt)
+            )
+            worker.scorer.resilience.registry_load_stall_seconds += stall
+            registry.load_model(
+                self.name,
+                new_entry.version,
+                expect_feature_names=serving.feature_names,
+            )
+        except ModelRegistryError as exc:
+            # The previous model stays active; a bad artifact must
+            # never take the serving path down mid-replay.
+            worker.scorer.resilience.swap_failures += 1
+            self.notes.append(
+                f"hot swap to v{new_entry.version:04d} failed "
+                f"(previous model kept): {exc}"
+            )
+            record_retrain_outcome("failed", trigger=trigger)
+            return
+        # Swap in the in-memory candidate (the load above is
+        # verification only): bit-identical to the pre-supervision
+        # behavior, which never round-tripped the swap through disk.
+        previous_version = self.versions[-1]
+        worker.scorer.swap_model(candidate, new_entry.version)
+        self.versions.append(new_entry.version)
+        self.retrains += 1
+        record_retrain_outcome("published", trigger=trigger)
+        if governor is not None:
+            if trigger != "periodic":
+                governor.retrains_drift += 1
+            monitor = self.monitor
+            governor.record_swap(
+                version=new_entry.version,
+                previous_version=previous_version,
+                previous_predictor=serving,
+                holdout_f1=holdout.candidate_f1,
+                previous_holdout_f1=governor.serving_holdout_f1,
+                pre_swap_rolling_f1=monitor.f1.f1() if monitor.f1.ready else None,
+                at_minute=at,
+            )
+            monitor.reset_after_swap()
+            record_drift_metrics(monitor, active_version=new_entry.version)
+
+    def roll_back(self, now_minute: float) -> None:
+        """Swap the last-good model back in and re-point the registry."""
+        target_version, target_predictor = self.governor.record_rollback(now_minute)
+        try:
+            self.registry.rollback(self.name, target_version)
+        except ModelRegistryError as exc:
+            # The in-memory swap below still restores serving quality;
+            # only the on-disk head pointer could not be re-pointed.
+            self.notes.append(
+                f"registry rollback to v{target_version:04d} refused: {exc}"
+            )
+        self.worker.scorer.swap_model(target_predictor, target_version)
+        self.versions.append(target_version)
+        self.notes.append(
+            f"post-swap F1 collapse at minute {now_minute:g}: rolled back "
+            f"to v{target_version:04d}"
+        )
+        self.monitor.reset_after_swap()
+        record_rollback()
+        record_drift_metrics(self.monitor, active_version=target_version)
+
+    def drift_summary(self) -> dict | None:
+        """The report's drift section (``None`` with drift off)."""
+        if self.monitor is None:
+            return None
+        governor = self.governor
+        record_drift_metrics(self.monitor, active_version=self.versions[-1])
+        return {
+            "state": self.monitor.state(),
+            "triggers": [(float(m), r) for m, r in governor.triggers],
+            "swaps": [(float(m), int(v)) for m, v in governor.swaps],
+            "rollbacks": [(float(m), int(v)) for m, v in governor.rollback_events],
+        }
 
 
 def serve_replay(
@@ -366,8 +628,12 @@ def serve_replay(
     report) both become hard errors, matching the store subcommands'
     ``--strict`` contract.
     """
+    check_positive(int(checkpoint_every_events), "checkpoint_every_events")
+    if resume and checkpoint_dir is None:
+        raise ValidationError("--resume requires a checkpoint directory")
     started = time.perf_counter()
     notes: list[str] = []
+    empty: str | None = None
     if sanitize:
         from repro.faults import sanitize_trace
 
@@ -388,32 +654,20 @@ def serve_replay(
                 ) from exc
             # Everything was quarantined.  An empty stream is an answer
             # (nothing scorable), not a crash.
-            return _empty_report(
-                split=split,
-                model=model,
-                registry_name=registry_name,
-                chaos=chaos,
-                wall_seconds=time.perf_counter() - started,
-                notes=notes + [f"sanitizer quarantined the whole trace: {exc}"],
-            )
-        notes.append(f"sanitized input trace: {sanitize_report.summary()}")
-    if trace.num_samples == 0:
-        return _empty_report(
+            empty = f"sanitizer quarantined the whole trace: {exc}"
+        else:
+            notes.append(f"sanitized input trace: {sanitize_report.summary()}")
+    if empty is None and trace.num_samples == 0:
+        empty = "input trace is empty; nothing to replay"
+    if empty is not None:
+        return ReplayReport(
             split=split,
             model=model,
             registry_name=registry_name,
-            chaos=chaos,
             wall_seconds=time.perf_counter() - started,
-            notes=notes + ["input trace is empty; nothing to replay"],
+            notes=notes + [empty],
+            chaos_digest=None if chaos is None else chaos.digest(),
         )
-
-    injector = (
-        None
-        if chaos is None
-        else ChaosInjector(
-            chaos, span=(0.0, trace.config.duration_days * MINUTES_PER_DAY)
-        )
-    )
 
     # ------------------------------------------------------------- batch
     features = build_features(trace, top_k_apps=top_k_apps)
@@ -426,7 +680,7 @@ def serve_replay(
     batch_pred = (batch_scores >= predictor.model.threshold).astype(int)
     batch_report = classification_report(test.y, batch_pred)
 
-    # -------------------------------------------------------- checkpoint
+    # -------------------------------------------------------------- online
     checkpoints = (
         None if checkpoint_dir is None else CheckpointManager(checkpoint_dir)
     )
@@ -453,31 +707,20 @@ def serve_replay(
             sort_keys=True,
         ).encode()
     ).hexdigest()
-
     registry = ModelRegistry(registry_root)
     resumed_from: int | None = None
-
     if resume:
-        if checkpoints is None:
-            raise ValidationError("--resume requires a checkpoint directory")
-        resumed_from, state = checkpoints.load_latest(expected_key=config_key)
-        worker: ScorerWorker = state["worker"]
-        alerts = state["alerts"]
-        retrains = state["retrains"]
-        retrain_attempts = state["retrain_attempts"]
-        next_retrain = state["next_retrain"]
-        versions = state["versions"]
-        notes = state["notes"] + notes
-        monitor: DriftMonitor | None = state["monitor"]
-        governor: RetrainGovernor | None = state["governor"]
-        rows_fed = state["rows_fed"]
-        alerts_fed = state["alerts_fed"]
-        serving = worker.scorer.predictor
-        notes.append(f"resumed from checkpoint at event {resumed_from}")
+        resumed_from, controller = checkpoints.load_latest(expected_key=config_key)
+        # Retrains publish under this run's registry root.
+        controller.registry = registry
+        controller.notes.extend(notes)
+        controller.notes.append(f"resumed from checkpoint at event {resumed_from}")
     else:
-        # -------------------------------------------------------- registry
-        entry = registry.save_model(
+        (worker,) = build_workers(
+            trace,
+            registry,
             predictor,
+            train,
             name=registry_name,
             metadata={
                 "split": split,
@@ -488,284 +731,45 @@ def serve_replay(
                 "fast": fast,
                 "top_k_apps": top_k_apps,
             },
-        )
-        serving, entry = registry.load_model(
-            registry_name,
-            entry.version,
-            expect_feature_names=predictor.feature_names,
-        )
-        versions = [entry.version]
-
-        # ---------------------------------------------------------- stream
-        engine = StreamingFeatureEngine(
-            trace.machine,
-            compute_top_apps(
-                np.asarray(trace.samples["app_id"], dtype=int), top_k_apps
-            ),
-        )
-        scorer = SupervisedScorer(
-            serving,
-            engine.schema,
-            ScorerConfig(
-                max_batch_size=batch_size,
-                flush_deadline_minutes=flush_deadline_minutes,
-            ),
-            model_version=entry.version,
-            resilience=resilience,
-            chaos=injector,
-            fallbacks=[
-                ("basic_b", BasicB().fit(train)),
-                ("all_negative", AllNegativeFallback()),
-            ],
-        )
-        worker = ScorerWorker(
-            engine,
-            scorer,
             window=(split_obj.train_end, split_obj.test_end),
-            injector=injector,
+            batch_size=batch_size,
+            flush_deadline_minutes=flush_deadline_minutes,
+            top_k_apps=top_k_apps,
+            resilience=resilience,
+            chaos=chaos,
         )
-        alerts: list[Alert] = []
-        retrains = 0
-        retrain_attempts = 0
-        next_retrain = (
-            None
-            if retrain_every_days is None
-            else split_obj.train_end + retrain_every_days * MINUTES_PER_DAY
-        )
-        monitor = None if drift is None else DriftMonitor(drift)
-        governor = None if drift is None else RetrainGovernor(drift)
-        rows_fed = 0
-        alerts_fed = 0
-
-    window_minutes = (
-        None if retrain_window_days is None else retrain_window_days * MINUTES_PER_DAY
-    )
-    poison_set = frozenset(int(i) for i in poison_retrains)
-
-    def run_retrain(at: float, trigger: str) -> None:
-        """One refit attempt at event-time ``at`` (periodic or drift)."""
-        nonlocal retrains, retrain_attempts, serving
-        resolved = [
-            row
-            for row in worker.history_rows
-            if row.end_minute <= at
-            and (row.job_id, row.node_id) in worker.labels
-        ]
-        if window_minutes is not None:
-            cutoff = at - window_minutes
-            resolved = [row for row in resolved if row.end_minute > cutoff]
-        if not resolved:
-            notes.append(f"retrain at minute {at:g} skipped: no resolved rows")
-            record_retrain_outcome("skipped", trigger=trigger)
-            return
-        counts = np.asarray(
-            [worker.labels[(row.job_id, row.node_id)] for row in resolved],
-            dtype=np.int64,
-        )
-        if retrain_attempts in poison_set:
-            # Test hook: a uniformly inverted label set poisons the train
-            # split and its own holdout alike, so the candidate validates
-            # cleanly — only post-swap monitoring can catch it.
-            counts = np.where(counts > 0, 0, 1).astype(np.int64)
-            notes.append(
-                f"retrain attempt {retrain_attempts} at minute {at:g} "
-                "poisoned (labels inverted)"
-            )
-        holdout = None
-        if governor is not None:
-            candidate, holdout = fit_validated_candidate(
-                model=model,
-                rows=resolved,
-                counts=counts,
-                schema=worker.engine.schema,
-                serving=serving,
-                config=drift,
-                random_state=random_state,
-                fast=fast,
-            )
-            if candidate is None:
-                governor.retrains_rejected += 1
-                record_retrain_outcome("rejected", trigger=trigger)
-                notes.append(f"retrain at minute {at:g} rejected: {holdout.reason}")
-                return
-        else:
-            candidate = TwoStagePredictor(
-                model, random_state=random_state, fast=fast
-            )
-            try:
-                candidate.fit(
-                    rows_to_matrix(resolved, worker.engine.schema, sbe_counts=counts)
-                )
-            except ValidationError as exc:
-                notes.append(f"retrain at minute {at:g} skipped: {exc}")
-                record_retrain_outcome("failed", trigger=trigger)
-                return
-        attempt = retrain_attempts
-        retrain_attempts += 1
-        new_entry = registry.save_model(
-            candidate,
+        controller = ReplayController(
+            worker,
+            registry,
             name=registry_name,
-            metadata={
-                "retrained_at_minute": at,
-                "n_rows": len(resolved),
-                "trigger": trigger,
-            },
+            model=model,
+            random_state=random_state,
+            fast=fast,
+            retrain_every_days=retrain_every_days,
+            retrain_window_days=retrain_window_days,
+            drift=drift,
+            poison_retrains=poison_retrains,
+            notes=notes,
         )
-        if injector is not None and injector.swap_corrupts(attempt):
-            # Chaos: flip one payload byte after commit, before the
-            # pre-swap verification load — a torn/bit-rotted artifact.
-            payload_path = new_entry.path / new_entry.manifest["payload"]
-            blob = bytearray(payload_path.read_bytes())
-            blob[len(blob) // 2] ^= 0xFF
-            payload_path.write_bytes(bytes(blob))
-        try:
-            stall = (
-                0.0
-                if injector is None
-                else injector.registry_load_stall_seconds(attempt)
-            )
-            worker.scorer.resilience.registry_load_stall_seconds += stall
-            registry.load_model(
-                registry_name,
-                new_entry.version,
-                expect_feature_names=serving.feature_names,
-            )
-        except ModelRegistryError as exc:
-            # The previous model stays active; a bad artifact must
-            # never take the serving path down mid-replay.
-            worker.scorer.resilience.swap_failures += 1
-            notes.append(
-                f"hot swap to v{new_entry.version:04d} failed "
-                f"(previous model kept): {exc}"
-            )
-            record_retrain_outcome("failed", trigger=trigger)
-            return
-        # Swap in the in-memory candidate (the load above is
-        # verification only): bit-identical to the pre-supervision
-        # behavior, which never round-tripped the swap through disk.
-        previous_serving = serving
-        previous_version = versions[-1]
-        worker.scorer.swap_model(candidate, new_entry.version)
-        serving = candidate
-        versions.append(new_entry.version)
-        retrains += 1
-        record_retrain_outcome("published", trigger=trigger)
-        if governor is not None:
-            if trigger != "periodic":
-                governor.retrains_drift += 1
-            governor.record_swap(
-                version=new_entry.version,
-                previous_version=previous_version,
-                previous_predictor=previous_serving,
-                holdout_f1=holdout.candidate_f1,
-                previous_holdout_f1=governor.serving_holdout_f1,
-                pre_swap_rolling_f1=(
-                    monitor.f1.f1() if monitor.f1.ready else None
-                ),
-                at_minute=at,
-            )
-            monitor.reset_after_swap()
-            record_drift_metrics(monitor, active_version=new_entry.version)
 
-    def roll_back(now_minute: float) -> None:
-        """Swap the last-good model back in and re-point the registry."""
-        nonlocal serving
-        target_version, target_predictor = governor.record_rollback(now_minute)
-        try:
-            registry.rollback(registry_name, target_version)
-        except ModelRegistryError as exc:
-            # The in-memory swap below still restores serving quality;
-            # only the on-disk head pointer could not be re-pointed.
-            notes.append(
-                f"registry rollback to v{target_version:04d} refused: {exc}"
-            )
-        worker.scorer.swap_model(target_predictor, target_version)
-        serving = target_predictor
-        versions.append(target_version)
-        notes.append(
-            f"post-swap F1 collapse at minute {now_minute:g}: rolled back "
-            f"to v{target_version:04d}"
-        )
-        monitor.reset_after_swap()
-        record_rollback()
-        record_drift_metrics(monitor, active_version=target_version)
-
-    def maybe_retrain(now_minute: float) -> None:
-        nonlocal next_retrain
-        while next_retrain is not None and now_minute >= next_retrain:
-            at = next_retrain
-            next_retrain += retrain_every_days * MINUTES_PER_DAY
-            run_retrain(at, "periodic")
-
-    serve_start = split_obj.train_end
-
-    def between_events(now_minute: float) -> None:
-        nonlocal rows_fed, alerts_fed
-        if monitor is not None:
-            # The PSI reference must capture the distribution the model
-            # serves *at serving start*, not the trace's cold-start
-            # transient — rows before the test window only feed retrain
-            # history, never the detectors; the governor likewise stays
-            # inert until the model is actually serving.
-            history = worker.history_rows
-            while rows_fed < len(history):
-                row = history[rows_fed]
-                if row.end_minute >= serve_start:
-                    monitor.observe_row(row)
-                rows_fed += 1
-            while alerts_fed < len(alerts):
-                monitor.observe_alert(alerts[alerts_fed])
-                alerts_fed += 1
-            monitor.match_labels(worker.labels)
-            if now_minute >= serve_start:
-                if governor.should_rollback(monitor):
-                    roll_back(now_minute)
-                if governor.should_check(now_minute):
-                    record_drift_metrics(
-                        monitor, active_version=versions[-1] if versions else None
-                    )
-                    reason = governor.drift_trigger(now_minute, monitor)
-                    if reason is not None:
-                        notes.append(
-                            f"drift detected at minute {now_minute:g} ({reason}); "
-                            "triggering guarded retrain"
-                        )
-                        run_retrain(now_minute, "drift")
-        maybe_retrain(now_minute)
-
+    worker = controller.worker
     for index, event in enumerate(iter_trace_events(trace)):
         if resumed_from is not None and index < resumed_from:
             continue
-        alerts.extend(worker.handle_event(event, between=between_events))
+        controller.handle(event)
         if (
             checkpoints is not None
             and worker.num_events % int(checkpoint_every_events) == 0
         ):
-            checkpoints.save(
-                worker.num_events,
-                {
-                    "worker": worker,
-                    "alerts": alerts,
-                    "retrains": retrains,
-                    "retrain_attempts": retrain_attempts,
-                    "next_retrain": next_retrain,
-                    "versions": versions,
-                    "notes": list(notes),
-                    "monitor": monitor,
-                    "governor": governor,
-                    "rows_fed": rows_fed,
-                    "alerts_fed": alerts_fed,
-                },
-                key=config_key,
-            )
+            checkpoints.save(worker.num_events, controller, key=config_key)
         if crash_after_events is not None and worker.num_events >= crash_after_events:
             raise SimulatedCrashError(worker.num_events)
-    alerts.extend(worker.finish())
+    controller.finish()
 
     # --------------------------------------------------------- alignment
     # Alert order depends on flush timing, so align to the batch test rows
     # by (run_idx, node_id) — unique per sample by construction.
-    by_key = {(a.run_idx, a.node_id): a for a in alerts}
+    by_key = {(a.run_idx, a.node_id): a for a in controller.alerts}
     test_keys = list(
         zip(
             (int(v) for v in test.meta["run_idx"]),
@@ -781,75 +785,31 @@ def serve_replay(
     online_pred = np.asarray([by_key[key].predicted for key in test_keys], dtype=int)
     online_scores = np.asarray([by_key[key].score for key in test_keys], dtype=float)
 
-    drift_summary = None
-    if monitor is not None:
-        drift_summary = {
-            "state": monitor.state(),
-            "triggers": [(float(m), r) for m, r in governor.triggers],
-            "swaps": [(float(m), int(v)) for m, v in governor.swaps],
-            "rollbacks": [(float(m), int(v)) for m, v in governor.rollback_events],
-        }
-        record_drift_metrics(
-            monitor, active_version=versions[-1] if versions else None
-        )
-
+    governor = controller.governor
     return ReplayReport(
         split=split,
         model=model,
         registry_name=registry_name,
-        registry_versions=versions,
+        registry_versions=controller.versions,
         num_events=worker.num_events,
         rows_streamed=worker.engine.rows_emitted,
         rows_test=len(test_keys),
         counters=worker.scorer.counters,
-        alerts=alerts,
+        alerts=controller.alerts,
         batch_report=batch_report,
         online_report=classification_report(test.y, online_pred),
         agreement=float(np.mean(online_pred == batch_pred)),
         max_abs_score_diff=float(np.max(np.abs(online_scores - batch_scores))),
         wall_seconds=time.perf_counter() - started,
-        retrains=retrains,
+        retrains=controller.retrains,
         drift_retrains=0 if governor is None else governor.retrains_drift,
         retrains_rejected=0 if governor is None else governor.retrains_rejected,
         rollbacks=0 if governor is None else governor.rollbacks,
-        drift=drift_summary,
-        notes=notes,
+        drift=controller.drift_summary(),
+        notes=controller.notes,
         resilience=worker.scorer.resilience,
         chaos_digest=None if chaos is None else chaos.digest(),
         dead_letters=[letter.stripped() for letter in worker.scorer.dlq.letters],
         resumed_from=resumed_from,
     )
 
-
-def _empty_report(
-    *,
-    split: str,
-    model: str,
-    registry_name: str,
-    chaos: ChaosPlan | None,
-    wall_seconds: float,
-    notes: list[str],
-) -> ReplayReport:
-    """A well-formed report for a replay with nothing to score."""
-    return ReplayReport(
-        split=split,
-        model=model,
-        registry_name=registry_name,
-        registry_versions=[],
-        num_events=0,
-        rows_streamed=0,
-        rows_test=0,
-        counters=ServeCounters(),
-        alerts=[],
-        batch_report=_zero_class_report(),
-        online_report=_zero_class_report(),
-        agreement=1.0,
-        max_abs_score_diff=0.0,
-        wall_seconds=wall_seconds,
-        retrains=0,
-        notes=notes,
-        resilience=ResilienceCounters(),
-        chaos_digest=None if chaos is None else chaos.digest(),
-        dead_letters=[],
-        resumed_from=None,
-    )

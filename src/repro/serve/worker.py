@@ -1,4 +1,4 @@
-"""The reusable per-event scorer loop shared by replay and the gateway.
+"""The serving core shared by replay and the gateway.
 
 :func:`repro.serve.replay.serve_replay` and the fleet gateway
 (:mod:`repro.gateway`) drive exactly the same core: a
@@ -8,11 +8,17 @@ injected ahead of real events, deadline polling against the stream
 clock, label bookkeeping from :class:`~repro.serve.events.JobResolved`,
 and malformed-event quarantine into the dead-letter queue.
 
-:class:`ScorerWorker` is that loop body, extracted verbatim from
-``replay.py`` so both callers stay bit-identical: one worker drives one
-scorer over one ordered event stream (the whole trace for replay; one
+:func:`build_workers` is the one model set-up both callers use: publish
+the fitted predictor, load it back checksum-verified, and wire one
+:class:`ScorerWorker` per shard (Basic-B / all-negative fallback chain,
+chaos seed shifted per shard so shard 0 keeps the plan's own).  Replay
+asks for one shard; each caller fits its own model first, so both keep
+their own ``build_features`` call.
+
+:class:`ScorerWorker` is the loop body: one worker drives one scorer
+over one ordered event stream (the whole trace for replay; one
 consistent-hash shard's slice for the gateway).  The worker pickles
-cleanly — it *is* the per-stream state a replay checkpoint commits.
+cleanly — it is the per-stream state inside a replay checkpoint.
 
 The exact per-event operation order is part of the digest contract:
 
@@ -20,8 +26,9 @@ The exact per-event operation order is part of the digest contract:
    dead-letter queue);
 2. event counters advance;
 3. deadline poll against the event's minute;
-4. the caller's ``between`` hook (replay: periodic retrain; gateway:
-   rolling hot-swap) — after the poll, before the event applies;
+4. the caller's ``between`` hook (replay: drift policy and retrain;
+   gateway: rolling hot-swap) — after the poll, before the event
+   applies;
 5. label bookkeeping for :class:`JobResolved`;
 6. the event itself through the engine (quarantined when malformed);
 7. emitted rows inside the scoring window submit to the scorer.
@@ -30,14 +37,29 @@ The exact per-event operation order is part of the digest contract:
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
+import numpy as np
+
+from repro.core.baselines import BasicB
+from repro.features.builder import FeatureMatrix, compute_top_apps
 from repro.serve.engine import StreamedRow, StreamingFeatureEngine
 from repro.serve.events import JobResolved
-from repro.serve.resilience import ChaosInjector, SupervisedScorer
-from repro.serve.scorer import Alert
+from repro.serve.registry import ModelRegistry
+from repro.serve.resilience import (
+    AllNegativeFallback,
+    ChaosInjector,
+    ChaosPlan,
+    ResilienceConfig,
+    SupervisedScorer,
+)
+from repro.serve.scorer import Alert, ScorerConfig
+from repro.telemetry.trace import Trace
 from repro.utils.errors import ValidationError
 
-__all__ = ["ScorerWorker", "update_alert_digest", "scored_alert_digest"]
+__all__ = ["ScorerWorker", "build_workers", "scored_alert_digest", "update_alert_digest"]
+
+MINUTES_PER_DAY = 1440.0
 
 
 def update_alert_digest(hasher, alerts: list[Alert]) -> None:
@@ -105,11 +127,6 @@ class ScorerWorker:
         self.last_minute = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        """Rows waiting in the scorer's micro-batch queue."""
-        return self.scorer.queue_depth
-
     def handle_event(self, event, *, between=None) -> list[Alert]:
         """Apply one stream event; returns any alerts it flushed.
 
@@ -162,3 +179,59 @@ class ScorerWorker:
         alerts = list(self.scorer.flush())
         alerts.extend(self.scorer.finalize(self.last_minute))
         return alerts
+
+
+def build_workers(
+    trace: Trace,
+    registry: ModelRegistry,
+    predictor,
+    train: FeatureMatrix,
+    *,
+    name: str,
+    metadata: dict,
+    window: tuple[float, float],
+    shards: int = 1,
+    batch_size: int = 256,
+    flush_deadline_minutes: float = 30.0,
+    top_k_apps: int = 16,
+    resilience: ResilienceConfig | None = None,
+    chaos: ChaosPlan | None = None,
+) -> list[ScorerWorker]:
+    """Publish ``predictor`` and wire one scoring worker per shard.
+
+    Every worker serves the checksum-verified copy loaded back from the
+    registry; ``train`` fits the Basic-B fallback.  Shard ``i`` draws
+    chaos from the plan's seed plus ``i``, so shard 0 — replay's only
+    shard — reproduces the plan's own draws.
+    """
+    entry = registry.save_model(predictor, name=name, metadata=metadata)
+    serving, entry = registry.load_model(
+        name, entry.version, expect_feature_names=predictor.feature_names
+    )
+    top_apps = compute_top_apps(
+        np.asarray(trace.samples["app_id"], dtype=int), top_k_apps
+    )
+    span = (0.0, trace.config.duration_days * MINUTES_PER_DAY)
+    basic_b = BasicB().fit(train)
+    workers: list[ScorerWorker] = []
+    for shard_id in range(shards):
+        injector = (
+            None
+            if chaos is None
+            else ChaosInjector(replace(chaos, seed=chaos.seed + shard_id), span=span)
+        )
+        engine = StreamingFeatureEngine(trace.machine, top_apps)
+        scorer = SupervisedScorer(
+            serving,
+            engine.schema,
+            ScorerConfig(
+                max_batch_size=batch_size,
+                flush_deadline_minutes=flush_deadline_minutes,
+            ),
+            model_version=entry.version,
+            resilience=resilience,
+            chaos=injector,
+            fallbacks=[("basic_b", basic_b), ("all_negative", AllNegativeFallback())],
+        )
+        workers.append(ScorerWorker(engine, scorer, window=window, injector=injector))
+    return workers

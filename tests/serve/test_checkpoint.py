@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.serve import checkpoint as checkpoint_module
+from repro.serve import replay as replay_module
 from repro.serve import serve_replay
 from repro.serve.checkpoint import CheckpointManager
 from repro.serve.resilience import ChaosPlan
@@ -153,6 +155,61 @@ class TestKillAndResume:
     def test_resume_requires_checkpoint_dir(self, tiny_trace, tiny_context, tmp_path):
         with pytest.raises(ValidationError, match="checkpoint directory"):
             _replay(tiny_trace, tiny_context, tmp_path / "r", resume=True)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"resume": True},
+            {"checkpoint_every_events": 0},
+            {"checkpoint_every_events": -5},
+            {"checkpoint_every_events": 0.5},
+        ],
+    )
+    def test_bad_checkpoint_options_rejected_before_the_batch_fit(
+        self, tiny_trace, tiny_context, tmp_path, monkeypatch, kwargs
+    ):
+        def no_fit(*args, **kw):
+            raise AssertionError("the batch fit ran before validation")
+
+        monkeypatch.setattr(replay_module, "build_features", no_fit)
+        kwargs.setdefault("checkpoint_dir", None if "resume" in kwargs else tmp_path)
+        with pytest.raises(ValidationError):
+            _replay(tiny_trace, tiny_context, tmp_path / "r", **kwargs)
+
+    def test_format_2_checkpoint_refused_with_typed_error(
+        self, tiny_trace, tiny_context, tmp_path, monkeypatch
+    ):
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(SimulatedCrashError):
+            _replay(
+                tiny_trace,
+                tiny_context,
+                tmp_path / "r",
+                checkpoint_dir=ckpt,
+                checkpoint_every_events=100,
+                crash_after_events=100,
+            )
+        (info,) = CheckpointManager(ckpt).list_checkpoints()
+        # Rewrite it as the format-2 layout: the old 11-key state dict,
+        # under the resuming run's own compatibility key.
+        for path in ckpt.iterdir():
+            path.unlink()
+        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_FORMAT", 2)
+        CheckpointManager(ckpt).save(
+            info.events_done,
+            {"worker": None, "alerts": [], "retrains": 0, "notes": []},
+            key=info.key,
+        )
+        monkeypatch.undo()
+        with pytest.warns(DegradedDataWarning, match="format 2"):
+            with pytest.raises(ValidationError, match="nothing to resume"):
+                _replay(
+                    tiny_trace,
+                    tiny_context,
+                    tmp_path / "r",
+                    checkpoint_dir=ckpt,
+                    resume=True,
+                )
 
     def test_resume_rejects_incompatible_configuration(
         self, tiny_trace, tiny_context, tmp_path

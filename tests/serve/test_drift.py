@@ -1,5 +1,7 @@
 """Units for the drift detectors and the guarded-retrain governor."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,35 @@ class TestDriftMonitor:
         # their labels must not charge the new model's probation window.
         monitor.match_labels({(i, i): 0 for i in range(8, 16)})
         assert monitor.f1.since_reset == 0
+
+    def test_feed_takes_rows_ending_in_window_and_only_new_items(self):
+        def row(start, end):
+            return SimpleNamespace(
+                start_minute=start, end_minute=end, features=np.zeros(3)
+            )
+
+        seen = []
+        monitor = DriftMonitor(self.cfg())
+        monitor.observe_row = seen.append
+        shards = [
+            SimpleNamespace(
+                history_rows=[row(50.0, 90.0), row(80.0, 120.0)],
+                window=(100.0, 200.0),
+                labels={(1, 10): 1},
+            ),
+            SimpleNamespace(history_rows=[row(150.0, 160.0)], window=None, labels={}),
+        ]
+        alerts = [alert(1, 10, predicted=1)]
+        monitor.feed(shards, alerts)
+        # A row that starts before serving but ends inside the window
+        # feeds the feature PSI; one that ended before it does not.
+        assert [r.end_minute for r in seen] == [120.0, 160.0]
+        assert monitor.f1.total_observed == 1  # shard 0's labels
+        shards[1].history_rows.append(row(170.0, 180.0))
+        alerts.append(alert(2, 11))
+        monitor.feed(shards, alerts)
+        assert [r.end_minute for r in seen] == [120.0, 160.0, 180.0]
+        assert len(monitor.scores._pending) == 2  # each alert scored once
 
 
 class TestRetrainGovernor:

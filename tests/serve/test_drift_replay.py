@@ -22,6 +22,7 @@ from repro.features.splits import DatasetSplit
 from repro.serve import serve_replay
 from repro.telemetry.simulator import simulate_trace
 from repro.utils.errors import SimulatedCrashError
+from tests.golden.serving import serving_digest
 
 MINUTES_PER_DAY = 1440.0
 WINDOW_DAYS = 8.0
@@ -100,6 +101,9 @@ class TestGovernedReplay:
         )
         assert bumped.digest() != governed.digest()
 
+    def test_digest_matches_pin(self, governed):
+        assert governed.digest() == serving_digest("replay_governed")
+
     def test_report_renders_drift_lines(self, governed):
         text = str(governed)
         assert "drift" in text
@@ -130,6 +134,9 @@ class TestPoisonedRetrainRollback:
         assert poisoned.rollbacks >= 1
         assert poisoned.drift["rollbacks"]
         assert any("rolled back" in note for note in poisoned.notes)
+
+    def test_digest_matches_pin(self, poisoned):
+        assert poisoned.digest() == serving_digest("replay_poisoned")
 
     def test_rollback_targets_a_previously_published_version(self, poisoned):
         rollback_versions = {version for _, version in poisoned.drift["rollbacks"]}

@@ -6,6 +6,7 @@ import pytest
 
 from repro.serve import serve_replay
 from repro.serve.registry import ModelRegistry
+from tests.golden.serving import serving_digest
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,11 @@ class TestOnlineMatchesBatch:
 
 
 class TestDeterminism:
+    def test_digests_match_pins(self, replayed):
+        report, _ = replayed
+        assert report.digest() == serving_digest("replay_clean")
+        assert report.scored_alert_digest() == serving_digest("scored_alerts")
+
     def test_digest_is_stable_across_invocations(
         self, replayed, tiny_trace, tiny_context, tmp_path
     ):
@@ -228,20 +234,16 @@ class TestStrictMode:
     ):
         import repro.serve
         from repro.cli import main
-        from repro.serve.replay import _empty_report
+        from repro.serve.replay import ReplayReport
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         seen = {}
 
         def fake_serve_replay(trace, registry_root, **kwargs):
             seen.update(kwargs)
-            return _empty_report(
-                split=kwargs["split"],
-                model=kwargs["model"],
-                registry_name="twostage",
-                chaos=None,
-                wall_seconds=0.0,
-                notes=[],
+            # The report defaults describe a replay with nothing to score.
+            return ReplayReport(
+                split=kwargs["split"], model=kwargs["model"], registry_name="twostage"
             )
 
         monkeypatch.setattr(repro.serve, "serve_replay", fake_serve_replay)

@@ -14,7 +14,12 @@ replay is then repeated under a chaos plan (retries, fallbacks,
 dead-letter replay must all be seed-stable), and finally killed
 mid-stream and resumed from its
 checkpoint — the resumed digest must be bit-identical to the
-uninterrupted chaos run.  A final leg exercises the durable segmented
+uninterrupted chaos run; a drift-governed replay with periodic retrain
+is killed and resumed the same way, covering the pickled replay
+controller mid-run.  On the ``tiny`` preset the clean, chaos,
+gateway-parity and drift-retrain digests must also equal the values
+pinned in ``tests/golden/serving_digests.json``, so a change that moves
+both runs of a leg the same way still fails.  A final leg exercises the durable segmented
 store: a 4-segment out-of-core write must stream back the serial bits,
 a simulation killed after one committed segment must resume from its
 journal to the same digest, and every disk-fault kind (torn write, bit
@@ -34,6 +39,7 @@ import argparse
 import asyncio
 import dataclasses
 import hashlib
+import json
 import shutil
 import sys
 import tempfile
@@ -49,6 +55,7 @@ from repro.features.splits import make_paper_splits
 from repro.gateway import GatewayConfig, build_gateway, run_fleet
 from repro.parallel.simulate import simulate_trace_sharded
 from repro.serve import ChaosPlan, serve_replay
+from repro.serve.drift import DriftConfig
 from repro.store import (
     DISK_FAULT_KINDS,
     DiskFaultSpec,
@@ -60,6 +67,40 @@ from repro.store import (
 from repro.telemetry.simulator import simulate_trace
 from repro.telemetry.trace import Trace
 from repro.utils.errors import DegradedDataWarning, SimulatedCrashError
+
+
+#: Serving digests pinned for the ``tiny`` preset.
+SERVING_PINS = Path(__file__).resolve().parents[1] / "tests/golden/serving_digests.json"
+
+
+def pin_failures(preset: str, name: str, digest: str) -> int:
+    """Compare ``digest`` to its pin (``tiny`` only); 1 on mismatch."""
+    if preset != "tiny":
+        return 0
+    pinned = json.loads(SERVING_PINS.read_text())[name]
+    if digest == pinned:
+        print(f"  {name} matches its pin ({pinned[:16]}...)")
+        return 0
+    print(f"  {name.upper()} != PIN: {digest[:16]} != {pinned[:16]}")
+    return 1
+
+
+def kill_and_resume(trace: Trace, crash_after: int, checkpoint_every: int, **kwargs):
+    """Replay, crash after ``crash_after`` events, resume; the resumed report."""
+    with tempfile.TemporaryDirectory() as root:
+        root_path = Path(root)
+        kwargs["checkpoint_dir"] = root_path / "ckpt"
+        try:
+            serve_replay(
+                trace,
+                root_path / "registry",
+                checkpoint_every_events=checkpoint_every,
+                crash_after_events=crash_after,
+                **kwargs,
+            )
+        except SimulatedCrashError as exc:
+            print(f"  killed: {exc}")
+        return serve_replay(trace, root_path / "registry", resume=True, **kwargs)
 
 
 def trace_digest(trace: Trace) -> str:
@@ -198,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{replay_digests[1][:16]}"
         )
         failures += 1
+    failures += pin_failures(args.preset, "replay_clean", replay_digests[0])
 
     print("gateway vs replay parity (1 shard, 1 client) ...", flush=True)
 
@@ -227,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
             f"!= {clean_report.scored_alert_digest()[:16]}"
         )
         failures += 1
+    failures += pin_failures(
+        args.preset, "scored_alerts", gateway.scored_alert_digest()
+    )
     if gateway.stats.zero_drop:
         print(
             f"  gateway accounting ok ({gateway.stats.events_in} events in "
@@ -260,32 +305,20 @@ def main(argv: list[str] | None = None) -> int:
             f"{chaos_digests[1][:16]}"
         )
         failures += 1
+    failures += pin_failures(args.preset, "replay_chaos", chaos_digests[0])
 
     print("killing the chaos replay mid-stream and resuming ...", flush=True)
     crash_after = max(chaos_report.num_events * 3 // 5, 1)
     checkpoint_every = max(chaos_report.num_events // 7, 1)
-    with tempfile.TemporaryDirectory() as root:
-        root_path = Path(root)
-        kwargs = dict(
-            splits=splits,
-            batch_size=64,
-            fast=True,
-            chaos=chaos,
-            checkpoint_dir=root_path / "ckpt",
-        )
-        try:
-            serve_replay(
-                trace_a,
-                root_path / "registry",
-                checkpoint_every_events=checkpoint_every,
-                crash_after_events=crash_after,
-                **kwargs,
-            )
-        except SimulatedCrashError as exc:
-            print(f"  killed: {exc}")
-        resumed = serve_replay(
-            trace_a, root_path / "registry", resume=True, **kwargs
-        )
+    resumed = kill_and_resume(
+        trace_a,
+        crash_after,
+        checkpoint_every,
+        splits=splits,
+        batch_size=64,
+        fast=True,
+        chaos=chaos,
+    )
     if resumed.digest() == chaos_digests[0]:
         print(
             f"  kill-and-resume ok (resumed from event {resumed.resumed_from}, "
@@ -297,6 +330,35 @@ def main(argv: list[str] | None = None) -> int:
             f"{chaos_digests[0][:16]}"
         )
         failures += 1
+
+    print(
+        "killing a drift-governed retraining replay mid-stream and resuming ...",
+        flush=True,
+    )
+    drift_kwargs = dict(
+        splits=splits,
+        batch_size=64,
+        fast=True,
+        drift=DriftConfig(),
+        retrain_every_days=2,
+    )
+    with tempfile.TemporaryDirectory() as root:
+        drift_digest = serve_replay(trace_a, root, **drift_kwargs).digest()
+    resumed = kill_and_resume(
+        trace_a, crash_after, checkpoint_every, **drift_kwargs
+    )
+    if resumed.digest() == drift_digest:
+        print(
+            f"  kill-and-resume ok (resumed from event {resumed.resumed_from}, "
+            f"digest matches uninterrupted run, {drift_digest[:16]}...)"
+        )
+    else:
+        print(
+            f"  DRIFT KILL-AND-RESUME MISMATCH: {resumed.digest()[:16]} != "
+            f"{drift_digest[:16]}"
+        )
+        failures += 1
+    failures += pin_failures(args.preset, "replay_drift_retrain", drift_digest)
 
     print("writing the segmented trace store and breaking it ...", flush=True)
     config = preset_config(args.preset)
