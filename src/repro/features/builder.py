@@ -1,9 +1,19 @@
-"""Builds the model-ready feature matrix from a trace.
+"""The one definition of a feature row.
 
 One output row per (run, node) sample.  Telemetry statistics come straight
-from the trace's samples table (the out-of-band sampler computed them
-online); history features are computed here, causally, via
-:class:`~repro.features.history.HistoryIndex`.
+from the samples table (the out-of-band sampler computed them online);
+history features are computed here, causally, from per-(job, node) SBE
+events (:mod:`repro.features.history`).
+
+:func:`feature_schema` names and tags the columns; :func:`feature_block`
+computes them for any block of sample rows once the global inputs are
+fixed: the top-app vocabulary (:func:`compute_top_apps`) and each row's
+causal history counts (:func:`history_counts` plus
+:func:`alloc_history`).  Three callers share them:
+:func:`build_features` (one block = the whole samples table),
+:func:`build_features_from_store` (one block = one store segment) and
+:class:`repro.serve.engine.StreamingFeatureEngine` (one block = one
+completed run), which is what makes their rows bit-identical.
 """
 
 from __future__ import annotations
@@ -27,25 +37,220 @@ from repro.utils.errors import ValidationError
 __all__ = [
     "FeatureMatrix",
     "SampleTableBuilder",
+    "alloc_history",
     "build_features",
     "build_features_from_store",
     "compute_top_apps",
+    "feature_block",
+    "feature_schema",
+    "history_counts",
 ]
 
 MINUTES_PER_DAY = 1440.0
 _STAT_SUFFIXES = ("mean", "std", "dmean", "dstd")
+
+#: Per-sample metadata columns of every :class:`FeatureMatrix`, with dtypes.
+_META_COLUMNS: tuple[tuple[str, type], ...] = (
+    ("run_idx", int),
+    ("job_id", int),
+    ("node_id", int),
+    ("app_id", int),
+    ("start_minute", float),
+    ("end_minute", float),
+    ("duration_minutes", float),
+    ("n_nodes", int),
+    ("gpu_core_hours", float),
+    ("sbe_count", np.int64),
+)
+
+#: Application columns taken as-is from the sample row (paper §V-A).
+_APP_COLUMNS = (
+    "duration_minutes",
+    "n_nodes",
+    "gpu_core_hours",
+    "gpu_util",
+    "max_mem_gb",
+    "agg_mem_gb",
+)
+
+#: Temperature/power columns with their refinement tag: the current run,
+#: the pre-execution windows, then the CPU and slot neighbours (§V-B).
+_TP_COLUMNS: tuple[tuple[str, str], ...] = (
+    tuple(
+        (f"{quantity}_{suffix}", "tp_cur")
+        for quantity in ("gpu_temp", "gpu_power")
+        for suffix in _STAT_SUFFIXES
+    )
+    + tuple(
+        (f"pre{window}_{quantity}_{suffix}", "tp_prev")
+        for window in PRE_WINDOWS_MINUTES
+        for quantity in ("temp", "power")
+        for suffix in _STAT_SUFFIXES
+    )
+    + tuple(
+        (f"{quantity}_{suffix}", "tp_nei")
+        for quantity in ("cpu_temp", "nei_temp", "nei_power")
+        for suffix in _STAT_SUFFIXES
+    )
+)
+
+#: History window lengths; :func:`history_counts` keys are
+#: ``f"{scope}_{length}"`` for the scopes node, app and machine.
+_HISTORY_LENGTHS = ("today", "yesterday", "before")
 
 
 def compute_top_apps(app_ids: np.ndarray, top_k: int) -> np.ndarray:
     """The ``top_k`` most frequent app ids, most frequent first.
 
     This is the app vocabulary behind the ``app_is_topNN`` indicator
-    columns.  The streaming engine (:mod:`repro.serve.engine`) must use
-    the *same* ranking as the batch builder for its rows to be
-    bit-identical, so both call this helper.
+    columns.  Every builder, and the streaming engine's caller, ranks
+    through this one (tie-sensitive) function.
     """
     app_ids = np.asarray(app_ids, dtype=int)
     return np.argsort(np.bincount(app_ids))[::-1][: int(top_k)]
+
+
+def feature_schema(num_top_apps: int) -> FeatureSchema:
+    """Names, tags and order of the feature columns (paper §V)."""
+    schema = FeatureSchema()
+    schema.add("app_code", GROUP_APP)
+    for rank in range(num_top_apps):
+        schema.add(f"app_is_top{rank:02d}", GROUP_APP)
+    schema.add("prev_app_code", GROUP_APP)
+    schema.add("prev_app_same", GROUP_APP)
+    for name in _APP_COLUMNS:
+        schema.add(name, GROUP_APP)
+    for name, tag in _TP_COLUMNS:
+        schema.add(name, GROUP_TP, tag)
+    for name in (
+        "loc_cabinet_x",
+        "loc_cabinet_y",
+        "loc_cage",
+        "loc_slot",
+        "loc_node_in_slot",
+        "loc_node_code",
+    ):
+        schema.add(name, GROUP_LOCATION)
+    for length in _HISTORY_LENGTHS:
+        tags = (GROUP_HIST, f"hist_{length}")
+        schema.add(f"hist_node_{length}", "hist_local", *tags)
+        schema.add(f"hist_app_{length}", "hist_app", *tags)
+        schema.add(f"hist_machine_{length}", "hist_global", *tags)
+    schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
+    return schema
+
+
+def feature_block(
+    rows: dict[str, np.ndarray],
+    machine,
+    top_apps: np.ndarray,
+    history: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Feature rows for a block of sample rows, in :func:`feature_schema` order.
+
+    ``rows`` maps sample column names to per-row arrays: the whole
+    samples table, one store segment, or one
+    :class:`~repro.serve.events.RunCompleted` payload.  ``history`` holds
+    the rows' :func:`history_counts` plus their ``alloc_today`` run mean
+    (:func:`alloc_history`); counts are ``log1p``-compressed here.
+    """
+    app_id = np.asarray(rows["app_id"], dtype=int)
+    prev_app = np.asarray(rows["prev_app_id"], dtype=int)
+    node_id = np.asarray(rows["node_id"], dtype=int)
+    cfg = machine.config
+    within = node_id % cfg.nodes_per_cabinet
+    per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
+    return np.column_stack(
+        [
+            app_id,
+            *(app_id == app for app in top_apps),
+            prev_app,
+            prev_app == app_id,
+            *(rows[name] for name in _APP_COLUMNS),
+            *(rows[name] for name, _ in _TP_COLUMNS),
+            # Location: cabinet x/y, cage, slot, node in slot, node code.
+            machine.cabinet_x[node_id],
+            machine.cabinet_y[node_id],
+            within // per_cage,
+            (within % per_cage) // cfg.nodes_per_slot,
+            within % cfg.nodes_per_slot,
+            node_id,
+            *(
+                np.log1p(history[f"{scope}_{length}"])
+                for length in _HISTORY_LENGTHS
+                for scope in ("node", "app", "machine")
+            ),
+            np.log1p(history["alloc_today"]),
+        ]
+    )
+
+
+def history_counts(
+    node_index,
+    app_index,
+    node_id: np.ndarray,
+    app_id: np.ndarray,
+    start: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The nine causal SBE counts of each row, keyed ``"{scope}_{length}"``.
+
+    Scopes are the row's node, its app and the whole machine; lengths are
+    the day before the run start (``today``), the day before that
+    (``yesterday``) and everything earlier (``before``).  The indices are
+    :class:`~repro.features.history.HistoryIndex` (batch, out of core) or
+    :class:`~repro.features.history.IncrementalHistoryIndex` (streaming);
+    both count an event toward ``[lo, hi)`` when ``lo <= t < hi``, so an
+    SBE stamped at the run start is not yet visible.
+    """
+    start = np.asarray(start, dtype=float)
+    day = MINUTES_PER_DAY
+    windows = (
+        (start - day, start),
+        (start - 2 * day, start - day),
+        (np.full(start.shape, -np.inf), start - 2 * day),
+    )
+    counts: dict[str, np.ndarray] = {}
+    for length, (lo, hi) in zip(_HISTORY_LENGTHS, windows):
+        counts[f"node_{length}"] = node_index.batch_between(node_id, lo, hi)
+        counts[f"app_{length}"] = app_index.batch_between(app_id, lo, hi)
+        counts[f"machine_{length}"] = node_index.global_batch_between(lo, hi)
+    return counts
+
+
+def alloc_history(run_idx: np.ndarray, node_today: np.ndarray) -> np.ndarray:
+    """Mean ``node_today`` count over each row's run (allocation history).
+
+    Needs every row of a run at once: the whole table in the batch
+    builders, one ``RunStarted`` in the streaming engine.
+    """
+    _, run_pos = np.unique(run_idx, return_inverse=True)
+    sums = np.bincount(run_pos, weights=node_today.astype(float))
+    counts = np.bincount(run_pos).astype(float)
+    return sums[run_pos] / counts[run_pos]
+
+
+def _table_history(rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """History counts and ``alloc_today`` of every row of a whole table.
+
+    The table's own positive rows, deduped per (job, node), seed the
+    causal indices; each row then sees only the events before its start.
+    """
+    events = dedupe_job_events(
+        rows["job_id"],
+        rows["node_id"],
+        rows["end_minute"],
+        rows["sbe_count"],
+        rows["app_id"],
+    )
+    history = history_counts(
+        HistoryIndex(events.node_ids, events.minutes, events.counts),
+        HistoryIndex(events.app_ids, events.minutes, events.counts),
+        rows["node_id"],
+        rows["app_id"],
+        rows["start_minute"],
+    )
+    history["alloc_today"] = alloc_history(rows["run_idx"], history["node_today"])
+    return history
 
 
 @dataclass
@@ -102,246 +307,15 @@ class SampleTableBuilder:
 
     def build(self) -> FeatureMatrix:
         """Compute all features for every sample in the trace."""
-        trace = self._trace
-        s = trace.samples
-        top_apps = compute_top_apps(s["app_id"].astype(int), self._top_k_apps)
-        node_index, app_index = self._history_indices()
-        schema, columns, node_hist_today = _chunk_columns(
-            s, trace.machine, top_apps, node_index, app_index
-        )
-        # Allocation-level history: mean node history over the run's nodes.
-        run_idx = s["run_idx"].astype(int)
-        schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
-        columns.append(
-            np.asarray(_alloc_history(run_idx, node_hist_today), dtype=float)
-        )
-
-        X = np.column_stack(columns)
-        meta = {
-            "run_idx": run_idx,
-            "job_id": s["job_id"].astype(int),
-            "node_id": s["node_id"].astype(int),
-            "app_id": s["app_id"].astype(int),
-            "start_minute": s["start_minute"].astype(float),
-            "end_minute": s["end_minute"].astype(float),
-            "duration_minutes": s["duration_minutes"].astype(float),
-            "n_nodes": s["n_nodes"].astype(int),
-            "gpu_core_hours": s["gpu_core_hours"].astype(float),
-            "sbe_count": s["sbe_count"].astype(np.int64),
-        }
-        return FeatureMatrix(
-            X=X,
-            y=(s["sbe_count"] > 0).astype(int),
-            schema=schema,
-            meta=meta,
-        )
-
-    def _history_indices(self) -> tuple[HistoryIndex, HistoryIndex]:
-        """Node-keyed and app-keyed causal SBE event indices."""
         s = self._trace.samples
-        return _history_indices_from_arrays(
-            s["job_id"], s["node_id"], s["end_minute"], s["sbe_count"], s["app_id"]
+        top_apps = compute_top_apps(s["app_id"], self._top_k_apps)
+        history = _table_history(s)
+        return FeatureMatrix(
+            X=feature_block(s, self._trace.machine, top_apps, history),
+            y=(s["sbe_count"] > 0).astype(int),
+            schema=feature_schema(top_apps.size),
+            meta={name: s[name].astype(dtype) for name, dtype in _META_COLUMNS},
         )
-
-
-def _chunk_columns(
-    s: dict[str, np.ndarray],
-    machine,
-    top_apps: np.ndarray,
-    node_index: HistoryIndex,
-    app_index: HistoryIndex,
-) -> tuple[FeatureSchema, list[np.ndarray], np.ndarray]:
-    """Feature columns for one chunk of sample rows.
-
-    Every feature except ``hist_alloc_today`` is a per-row computation
-    once the global inputs (the top-app vocabulary and the two causal
-    history indices) are fixed, so this function serves both the batch
-    builder (one chunk = the whole table) and the out-of-core builder
-    (one chunk = one store segment) with the *same* arithmetic — which
-    is what makes their outputs bit-identical.  Returns
-    ``(schema, columns, node_hist_today)``; the caller appends the
-    allocation-history column, which needs all rows at once.
-    """
-    n = next(iter(s.values())).shape[0]
-    schema = FeatureSchema()
-    columns: list[np.ndarray] = []
-
-    def add(name: str, values: np.ndarray, *tags: str) -> None:
-        schema.add(name, *tags)
-        columns.append(np.asarray(values, dtype=float))
-
-    # ------------------------------------------------------------------
-    # Application features (temporal, paper §V-A)
-    # ------------------------------------------------------------------
-    app_id = s["app_id"].astype(int)
-    add("app_code", app_id, GROUP_APP)
-    for rank, app in enumerate(top_apps):
-        add(f"app_is_top{rank:02d}", (app_id == app).astype(float), GROUP_APP)
-    prev_app = s["prev_app_id"].astype(int)
-    add("prev_app_code", prev_app, GROUP_APP)
-    add("prev_app_same", (prev_app == app_id).astype(float), GROUP_APP)
-    add("duration_minutes", s["duration_minutes"], GROUP_APP)
-    add("n_nodes", s["n_nodes"], GROUP_APP)
-    add("gpu_core_hours", s["gpu_core_hours"], GROUP_APP)
-    add("gpu_util", s["gpu_util"], GROUP_APP)
-    add("max_mem_gb", s["max_mem_gb"], GROUP_APP)
-    add("agg_mem_gb", s["agg_mem_gb"], GROUP_APP)
-
-    # ------------------------------------------------------------------
-    # Temperature/power features (current run, pre-windows, neighbours)
-    # ------------------------------------------------------------------
-    for quantity in ("gpu_temp", "gpu_power"):
-        for suffix in _STAT_SUFFIXES:
-            name = f"{quantity}_{suffix}"
-            add(name, s[name], GROUP_TP, "tp_cur")
-    for window in PRE_WINDOWS_MINUTES:
-        for quantity in ("temp", "power"):
-            for suffix in _STAT_SUFFIXES:
-                name = f"pre{window}_{quantity}_{suffix}"
-                add(name, s[name], GROUP_TP, "tp_prev")
-    for quantity in ("cpu_temp", "nei_temp", "nei_power"):
-        for suffix in _STAT_SUFFIXES:
-            name = f"{quantity}_{suffix}"
-            add(name, s[name], GROUP_TP, "tp_nei")
-
-    # ------------------------------------------------------------------
-    # Node location (spatial, paper §V-B)
-    # ------------------------------------------------------------------
-    node_id = s["node_id"].astype(int)
-    add("loc_cabinet_x", machine.cabinet_x[node_id], GROUP_LOCATION)
-    add("loc_cabinet_y", machine.cabinet_y[node_id], GROUP_LOCATION)
-    cfg = machine.config
-    per_cab = cfg.nodes_per_cabinet
-    within = node_id % per_cab
-    per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
-    add("loc_cage", within // per_cage, GROUP_LOCATION)
-    add("loc_slot", (within % per_cage) // cfg.nodes_per_slot, GROUP_LOCATION)
-    add("loc_node_in_slot", within % cfg.nodes_per_slot, GROUP_LOCATION)
-    add("loc_node_code", node_id, GROUP_LOCATION)
-
-    # ------------------------------------------------------------------
-    # SBE history (causal; log1p-compressed counts)
-    # ------------------------------------------------------------------
-    start = s["start_minute"].astype(float)
-    day = MINUTES_PER_DAY
-
-    def windows(index: HistoryIndex, keys: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            "today": index.batch_between(keys, start - day, start),
-            "yesterday": index.batch_between(keys, start - 2 * day, start - day),
-            "before": index.batch_between(keys, np.full(n, -np.inf), start - 2 * day),
-        }
-
-    node_hist = windows(node_index, node_id)
-    app_hist = windows(app_index, app_id)
-    machine_hist = {
-        "today": node_index.global_batch_between(start - day, start),
-        "yesterday": node_index.global_batch_between(start - 2 * day, start - day),
-        "before": node_index.global_batch_between(
-            np.full(n, -np.inf), start - 2 * day
-        ),
-    }
-    for length in ("today", "yesterday", "before"):
-        add(
-            f"hist_node_{length}",
-            np.log1p(node_hist[length]),
-            GROUP_HIST,
-            "hist_local",
-            f"hist_{length}",
-        )
-        add(
-            f"hist_app_{length}",
-            np.log1p(app_hist[length]),
-            GROUP_HIST,
-            "hist_app",
-            f"hist_{length}",
-        )
-        add(
-            f"hist_machine_{length}",
-            np.log1p(machine_hist[length]),
-            GROUP_HIST,
-            "hist_global",
-            f"hist_{length}",
-        )
-    return schema, columns, node_hist["today"]
-
-
-def _alloc_history(run_idx: np.ndarray, node_hist_today: np.ndarray) -> np.ndarray:
-    """Mean node history over each run's nodes (needs *all* rows at once)."""
-    run_compact, run_pos = np.unique(run_idx, return_inverse=True)
-    sums = np.bincount(run_pos, weights=node_hist_today.astype(float))
-    counts = np.bincount(run_pos).astype(float)
-    return np.log1p(sums[run_pos] / counts[run_pos])
-
-
-def _history_indices_from_arrays(
-    job_id: np.ndarray,
-    node_id: np.ndarray,
-    end_minute: np.ndarray,
-    sbe_count: np.ndarray,
-    app_id: np.ndarray,
-) -> tuple[HistoryIndex, HistoryIndex]:
-    """Node-keyed and app-keyed causal SBE indices from sample columns.
-
-    Rows with ``sbe_count == 0`` never contribute an event, so callers
-    may pass either the full table or just its positive rows (in global
-    row order) — the out-of-core builder does the latter, which is what
-    keeps its pass over a segmented store memory-bounded.
-    """
-    nodes, minutes, counts = dedupe_job_events(job_id, node_id, end_minute, sbe_count)
-    node_index = HistoryIndex(nodes, minutes, counts)
-    # App-keyed events reuse the deduped (job, node) events but need
-    # the app of each event; map via (job, node) -> app from samples.
-    app_of = {}
-    for job, node, app in zip(
-        np.asarray(job_id, dtype=int),
-        np.asarray(node_id, dtype=int),
-        np.asarray(app_id, dtype=int),
-    ):
-        app_of[(job, node)] = app
-    # Rebuild keyed-by-app arrays by re-deriving job ids from samples:
-    # dedupe_job_events lost them, so recompute with jobs retained.
-    jobs, nodes2, minutes2, counts2 = _dedupe_with_jobs(
-        job_id, node_id, end_minute, sbe_count
-    )
-    apps = np.asarray(
-        [app_of[(int(j), int(nd))] for j, nd in zip(jobs, nodes2)], dtype=int
-    )
-    app_index = HistoryIndex(apps, minutes2, counts2)
-    return node_index, app_index
-
-
-def _dedupe_with_jobs(
-    job_id: np.ndarray,
-    node_id: np.ndarray,
-    end_minute: np.ndarray,
-    sbe_count: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Like :func:`dedupe_job_events` but also returning job ids."""
-    job_ids = np.asarray(job_id, dtype=int)
-    node_ids = np.asarray(node_id, dtype=int)
-    end_minutes = np.asarray(end_minute, dtype=float)
-    sbe_counts = np.asarray(sbe_count, dtype=np.int64)
-    positive = sbe_counts > 0
-    job_ids, node_ids, end_minutes, sbe_counts = (
-        job_ids[positive],
-        node_ids[positive],
-        end_minutes[positive],
-        sbe_counts[positive],
-    )
-    if job_ids.size == 0:
-        empty = np.empty(0, dtype=int)
-        return empty, empty, np.empty(0), np.empty(0, dtype=np.int64)
-    order = np.lexsort((end_minutes, node_ids, job_ids))
-    job_s, node_s, end_s, cnt_s = (
-        job_ids[order],
-        node_ids[order],
-        end_minutes[order],
-        sbe_counts[order],
-    )
-    is_last = np.ones(job_s.size, dtype=bool)
-    is_last[:-1] = (job_s[:-1] != job_s[1:]) | (node_s[:-1] != node_s[1:])
-    return job_s[is_last], node_s[is_last], end_s[is_last], cnt_s[is_last]
 
 
 def build_features(
@@ -400,17 +374,18 @@ def build_features_from_store(
     Reads the store (:class:`repro.store.SegmentedTraceStore`) one
     segment at a time — never the whole samples table — in two passes:
 
-    1. accumulate the global app frequency table and collect the (rare)
-       positive rows that seed the causal history indices;
-    2. compute every per-row feature chunk-by-chunk via the same
-       :func:`_chunk_columns` the batch builder uses, scattering rows
-       into their global positions, then finish the allocation-history
-       column on the full (scalar-per-row) scratch arrays.
+    1. scatter every segment's metadata columns into their global
+       rows; from those full-length columns come the top-app ranking,
+       the causal history indices and every row's history counts, by the
+       same calls the batch builder makes on the samples table;
+    2. compute each segment's :func:`feature_block` and scatter it into
+       its global rows.
 
     The result is **bit-identical** to
     ``build_features(store.load_trace())`` — the golden feature digests
     do not distinguish the two paths — while peak memory is one segment
-    plus the output matrix.  Damaged segments heal first (or raise
+    plus the output matrix and its per-row metadata and history counts.
+    Damaged segments heal first (or raise
     :class:`~repro.utils.errors.SegmentCorruptionError` under
     ``strict``).
     """
@@ -423,91 +398,27 @@ def build_features_from_store(
     if total == 0:
         raise ValidationError("store has no samples")
     machine = Machine(store.config().machine)
-    num_segments = store.num_segments
 
-    # Pass 1: global app frequencies + positive rows in global row order.
-    app_counts = np.zeros(0, dtype=np.int64)
-    positive_parts: list[tuple[np.ndarray, ...]] = []
-    for index in range(num_segments):
+    meta = {name: np.empty(total, dtype=dtype) for name, dtype in _META_COLUMNS}
+    for index, dest in enumerate(dests):
         s = store.segment_samples(index)
-        seg_counts = np.bincount(s["app_id"].astype(int))
-        if seg_counts.size > app_counts.size:
-            app_counts = np.concatenate(
-                [
-                    app_counts,
-                    np.zeros(seg_counts.size - app_counts.size, dtype=np.int64),
-                ]
-            )
-        app_counts[: seg_counts.size] += seg_counts
-        positive = np.asarray(s["sbe_count"], dtype=np.int64) > 0
-        positive_parts.append(
-            (
-                dests[index][positive],
-                s["job_id"][positive],
-                s["node_id"][positive],
-                s["end_minute"][positive],
-                s["sbe_count"][positive],
-                s["app_id"][positive],
-            )
-        )
-    # Same array np.bincount would produce over the full table, so the
-    # (tie-sensitive) argsort ranking matches the batch builder's.
-    top_apps = np.argsort(app_counts)[::-1][: int(top_k_apps)]
-    dest_p, job_p, node_p, end_p, sbe_p, app_p = (
-        np.concatenate([part[i] for part in positive_parts])
-        for i in range(6)
-    )
-    order = np.argsort(dest_p)
-    node_index, app_index = _history_indices_from_arrays(
-        job_p[order], node_p[order], end_p[order], sbe_p[order], app_p[order]
-    )
+        for name, _ in _META_COLUMNS:
+            meta[name][dest] = s[name]
+    top_apps = compute_top_apps(meta["app_id"], top_k_apps)
+    history = _table_history(meta)
 
-    # Pass 2: per-row features chunk-by-chunk, scattered to global rows.
-    schema: FeatureSchema | None = None
-    X: np.ndarray | None = None
-    hist_today = None
-    y = np.empty(total, dtype=np.int64)
-    meta = {
-        "run_idx": np.empty(total, dtype=np.int64),
-        "job_id": np.empty(total, dtype=np.int64),
-        "node_id": np.empty(total, dtype=np.int64),
-        "app_id": np.empty(total, dtype=np.int64),
-        "start_minute": np.empty(total, dtype=float),
-        "end_minute": np.empty(total, dtype=float),
-        "duration_minutes": np.empty(total, dtype=float),
-        "n_nodes": np.empty(total, dtype=np.int64),
-        "gpu_core_hours": np.empty(total, dtype=float),
-        "sbe_count": np.empty(total, dtype=np.int64),
-    }
-    for index in range(num_segments):
-        s = store.segment_samples(index)
-        seg_schema, columns, seg_hist_today = _chunk_columns(
-            s, machine, top_apps, node_index, app_index
+    schema = feature_schema(top_apps.size)
+    X = np.empty((total, len(schema)), dtype=float)
+    for index, dest in enumerate(dests):
+        X[dest] = feature_block(
+            store.segment_samples(index),
+            machine,
+            top_apps,
+            {key: counts[dest] for key, counts in history.items()},
         )
-        if X is None:
-            schema = seg_schema
-            schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
-            X = np.empty((total, len(schema)), dtype=float)
-            hist_today = np.empty(total, dtype=seg_hist_today.dtype)
-        d = dests[index]
-        for j, column in enumerate(columns):
-            X[d, j] = column
-        hist_today[d] = seg_hist_today
-        y[d] = (s["sbe_count"] > 0).astype(int)
-        meta["run_idx"][d] = s["run_idx"].astype(int)
-        meta["job_id"][d] = s["job_id"].astype(int)
-        meta["node_id"][d] = s["node_id"].astype(int)
-        meta["app_id"][d] = s["app_id"].astype(int)
-        meta["start_minute"][d] = s["start_minute"].astype(float)
-        meta["end_minute"][d] = s["end_minute"].astype(float)
-        meta["duration_minutes"][d] = s["duration_minutes"].astype(float)
-        meta["n_nodes"][d] = s["n_nodes"].astype(int)
-        meta["gpu_core_hours"][d] = s["gpu_core_hours"].astype(float)
-        meta["sbe_count"][d] = s["sbe_count"].astype(np.int64)
-    X[:, len(schema) - 1] = np.asarray(
-        _alloc_history(meta["run_idx"], hist_today), dtype=float
+    matrix = FeatureMatrix(
+        X=X, y=(meta["sbe_count"] > 0).astype(int), schema=schema, meta=meta
     )
-    matrix = FeatureMatrix(X=X, y=y, schema=schema, meta=meta)
     spans.stop()
     _record_feature_metrics("store", matrix, spans)
     return matrix

@@ -7,18 +7,53 @@ of the given application and the nodes allocated to it") must be computed
 completed — and therefore had its nvidia-smi delta resolved — are
 observable.  :class:`HistoryIndex` stores, per key (node id, app id, or
 the single global key), the time-sorted cumulative SBE counts of completed
-jobs and answers window-count queries with binary search.
+jobs and answers window-count queries with binary search;
+:class:`IncrementalHistoryIndex` answers the same queries for a stream.
+:func:`dedupe_job_events` turns sample rows into those per-(job, node)
+events for the batch builders and for the replayed event stream alike.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.utils.errors import ValidationError
 
-__all__ = ["HistoryIndex", "IncrementalHistoryIndex", "dedupe_job_events"]
+__all__ = [
+    "HistoryIndex",
+    "IncrementalHistoryIndex",
+    "JobEvents",
+    "dedupe_job_events",
+    "kept_job_rows",
+]
+
+
+class JobEvents(NamedTuple):
+    """Per-(job, node) SBE events, one per kept sample row."""
+
+    job_ids: np.ndarray
+    node_ids: np.ndarray
+    minutes: np.ndarray
+    counts: np.ndarray
+    app_ids: np.ndarray
+
+
+def kept_job_rows(
+    job_ids: np.ndarray, node_ids: np.ndarray, end_minutes: np.ndarray
+) -> np.ndarray:
+    """Index of the kept row per ``(job, node)``, in ``(job, node)`` order.
+
+    The kept row is the one with the latest end minute; among rows that
+    end at the same minute the later table row wins.
+    """
+    order = np.lexsort((end_minutes, node_ids, job_ids))
+    job_s, node_s = job_ids[order], node_ids[order]
+    is_last = np.ones(order.size, dtype=bool)
+    is_last[:-1] = (job_s[:-1] != job_s[1:]) | (node_s[:-1] != node_s[1:])
+    return order[is_last]
 
 
 def dedupe_job_events(
@@ -26,44 +61,34 @@ def dedupe_job_events(
     node_ids: np.ndarray,
     end_minutes: np.ndarray,
     sbe_counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    app_ids: np.ndarray,
+) -> JobEvents:
     """Collapse per-(run, node) rows into per-(job, node) SBE events.
 
     A batch job's SBE delta is attributed to *every* aprun of the job (the
     paper's conservative assumption), so summing sample rows would double
     count errors for multi-aprun jobs.  This keeps one event per
-    ``(job, node)`` at the job's last aprun end.
-
-    Returns ``(node_ids, event_minutes, counts)`` for rows with counts > 0.
+    ``(job, node)``, stamped at its kept positive row
+    (:func:`kept_job_rows`), and carries that row's job id and app.
     """
-    job_ids = np.asarray(job_ids)
-    node_ids = np.asarray(node_ids)
-    end_minutes = np.asarray(end_minutes, dtype=float)
-    sbe_counts = np.asarray(sbe_counts)
-    if not (job_ids.shape == node_ids.shape == end_minutes.shape == sbe_counts.shape):
-        raise ValidationError("event arrays must share one shape")
-    positive = sbe_counts > 0
-    if not positive.any():
-        return (np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=np.int64))
-    job_ids = job_ids[positive]
-    node_ids = node_ids[positive]
-    end_minutes = end_minutes[positive]
-    sbe_counts = sbe_counts[positive]
-    # For each (job, node), keep the row with the latest end time; counts
-    # are identical across a job's apruns by construction.
-    order = np.lexsort((end_minutes, node_ids, job_ids))
-    job_s, node_s, end_s, cnt_s = (
-        job_ids[order],
-        node_ids[order],
-        end_minutes[order],
-        sbe_counts[order],
+    job_ids, node_ids, sbe_counts, app_ids = (
+        np.asarray(a, dtype=int) for a in (job_ids, node_ids, sbe_counts, app_ids)
     )
-    is_last = np.ones(job_s.size, dtype=bool)
-    is_last[:-1] = (job_s[:-1] != job_s[1:]) | (node_s[:-1] != node_s[1:])
-    return (
-        node_s[is_last].astype(int),
-        end_s[is_last],
-        cnt_s[is_last].astype(np.int64),
+    end_minutes = np.asarray(end_minutes, dtype=float)
+    if not (
+        job_ids.shape
+        == node_ids.shape
+        == end_minutes.shape
+        == sbe_counts.shape
+        == app_ids.shape
+    ):
+        raise ValidationError("event arrays must share one shape")
+    positive = np.flatnonzero(sbe_counts > 0)
+    kept = positive[
+        kept_job_rows(job_ids[positive], node_ids[positive], end_minutes[positive])
+    ]
+    return JobEvents(
+        job_ids[kept], node_ids[kept], end_minutes[kept], sbe_counts[kept], app_ids[kept]
     )
 
 
@@ -96,30 +121,9 @@ class HistoryIndex:
             return 0
         return self._window(series, start_minute, end_minute)
 
-    def count_before(self, key: int, minute: float) -> int:
-        """SBEs for ``key`` strictly before ``minute``."""
-        return self.count_between(key, -np.inf, minute)
-
     def global_between(self, start_minute: float, end_minute: float) -> int:
         """Machine-wide SBEs in ``[start, end)``."""
         return self._window(self._global, start_minute, end_minute)
-
-    def global_before(self, minute: float) -> int:
-        """Machine-wide SBEs strictly before ``minute``."""
-        return self._window(self._global, -np.inf, minute)
-
-    def keys_before(self, minute: float) -> np.ndarray:
-        """Keys with at least one SBE strictly before ``minute``.
-
-        This is the paper's stage-1 predicate: "has this node seen an SBE
-        before?" evaluated causally at prediction time.
-        """
-        keys = [
-            key
-            for key, (times, _) in self._series.items()
-            if times[0] < minute
-        ]
-        return np.asarray(sorted(keys), dtype=int)
 
     def batch_between(
         self, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray
@@ -182,7 +186,9 @@ class IncrementalHistoryIndex:
     an event counts toward ``[start, end)`` when ``start <= t < end``
     (``searchsorted(..., side="left")`` in the batch index, ``bisect_left``
     here), so a batch index over the first *n* events and an incremental
-    index fed those same *n* events agree exactly.
+    index fed those same *n* events agree exactly.  Both expose
+    ``batch_between`` / ``global_batch_between``, the two calls
+    :func:`repro.features.builder.history_counts` makes.
     """
 
     def __init__(self) -> None:
@@ -226,30 +232,39 @@ class IncrementalHistoryIndex:
             return 0
         return self._window(times, self._cums[int(key)], start_minute, end_minute)
 
-    def count_before(self, key: int, minute: float) -> int:
-        """SBEs for ``key`` strictly before ``minute``."""
-        return self.count_between(key, -np.inf, minute)
-
     def global_between(self, start_minute: float, end_minute: float) -> int:
         """Machine-wide SBEs in ``[start, end)``."""
         return self._window(
             self._global_times, self._global_cums, start_minute, end_minute
         )
 
-    def global_before(self, minute: float) -> int:
-        """Machine-wide SBEs strictly before ``minute``."""
-        return self.global_between(-np.inf, minute)
+    def batch_between(
+        self, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`count_between` over parallel arrays (one bisect pair each)."""
+        return np.asarray(
+            [
+                self.count_between(key, start, end)
+                for key, start, end in zip(
+                    np.asarray(keys).tolist(),
+                    np.asarray(starts).tolist(),
+                    np.asarray(ends).tolist(),
+                )
+            ],
+            dtype=np.int64,
+        )
 
-    def keys_before(self, minute: float) -> np.ndarray:
-        """Keys with at least one SBE strictly before ``minute``.
-
-        The online form of the stage-1 offender predicate; matches
-        :meth:`HistoryIndex.keys_before` on the same event prefix.
-        """
-        keys = [
-            key for key, times in self._times.items() if times and times[0] < minute
-        ]
-        return np.asarray(sorted(keys), dtype=int)
+    def global_batch_between(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """:meth:`global_between` over parallel arrays."""
+        return np.asarray(
+            [
+                self.global_between(start, end)
+                for start, end in zip(
+                    np.asarray(starts).tolist(), np.asarray(ends).tolist()
+                )
+            ],
+            dtype=np.int64,
+        )
 
     @staticmethod
     def _window(

@@ -2,19 +2,24 @@
 
 Consumes the telemetry event stream (:mod:`repro.serve.events`) in
 delivery order and emits one model-ready feature row per (run, node)
-sample at run completion.  The contract — enforced by the parity tests —
-is that the emitted rows are **bit-identical** to the batch
-:func:`~repro.features.builder.build_features` output on the same trace:
+sample at run completion.  A row is defined once, in
+:mod:`repro.features.builder`, and the engine calls that definition:
 
-* telemetry and application columns are carried by the completion event
-  (the out-of-band sampler computed them online, exactly as in batch);
-* history features are evaluated at run *start* against an
-  :class:`~repro.features.history.IncrementalHistoryIndex` fed only the
-  SBE events observed so far, which matches the batch index's causal
-  window queries because both count events with ``start <= t < end``;
+* its schema is :func:`~repro.features.builder.feature_schema`, built
+  once per engine;
+* at run *start* it evaluates
+  :func:`~repro.features.builder.history_counts` against
+  :class:`~repro.features.history.IncrementalHistoryIndex` instances fed
+  only the SBE events observed so far, plus the run's
+  :func:`~repro.features.builder.alloc_history`;
+* at run completion it passes the completion payload and those counts to
+  :func:`~repro.features.builder.feature_block`;
 * the app indicator vocabulary (``app_is_topNN``) is supplied by the
   caller — frozen at training time in production, or computed with
   :func:`~repro.features.builder.compute_top_apps` for replay parity.
+
+The parity tests hold the emitted rows **bit-identical** to
+:func:`~repro.features.builder.build_features` on the same trace.
 """
 
 from __future__ import annotations
@@ -23,35 +28,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.features.builder import FeatureMatrix
+from repro.features.builder import (
+    FeatureMatrix,
+    alloc_history,
+    feature_block,
+    feature_schema,
+    history_counts,
+)
 from repro.obs import get_registry
 from repro.features.history import IncrementalHistoryIndex
-from repro.features.schema import (
-    FeatureSchema,
-    GROUP_APP,
-    GROUP_HIST,
-    GROUP_LOCATION,
-    GROUP_TP,
-)
+from repro.features.schema import FeatureSchema
 from repro.serve.events import (
     JobResolved,
     RunCompleted,
     RunStarted,
     SbeObserved,
 )
-from repro.telemetry.trace import PRE_WINDOWS_MINUTES
 from repro.topology.machine import Machine
 from repro.utils.errors import ValidationError
 
 __all__ = [
     "StreamedRow",
     "StreamingFeatureEngine",
-    "build_stream_schema",
     "rows_to_matrix",
 ]
-
-MINUTES_PER_DAY = 1440.0
-_STAT_SUFFIXES = ("mean", "std", "dmean", "dstd")
 
 
 @dataclass(frozen=True)
@@ -71,62 +71,16 @@ class StreamedRow:
     features: np.ndarray
 
 
-def build_stream_schema(num_top_apps: int) -> FeatureSchema:
-    """The engine's feature schema; must mirror the batch builder exactly."""
-    schema = FeatureSchema()
-    schema.add("app_code", GROUP_APP)
-    for rank in range(num_top_apps):
-        schema.add(f"app_is_top{rank:02d}", GROUP_APP)
-    schema.add("prev_app_code", GROUP_APP)
-    schema.add("prev_app_same", GROUP_APP)
-    for name in (
-        "duration_minutes",
-        "n_nodes",
-        "gpu_core_hours",
-        "gpu_util",
-        "max_mem_gb",
-        "agg_mem_gb",
-    ):
-        schema.add(name, GROUP_APP)
-    for quantity in ("gpu_temp", "gpu_power"):
-        for suffix in _STAT_SUFFIXES:
-            schema.add(f"{quantity}_{suffix}", GROUP_TP, "tp_cur")
-    for window in PRE_WINDOWS_MINUTES:
-        for quantity in ("temp", "power"):
-            for suffix in _STAT_SUFFIXES:
-                schema.add(f"pre{window}_{quantity}_{suffix}", GROUP_TP, "tp_prev")
-    for quantity in ("cpu_temp", "nei_temp", "nei_power"):
-        for suffix in _STAT_SUFFIXES:
-            schema.add(f"{quantity}_{suffix}", GROUP_TP, "tp_nei")
-    for name in (
-        "loc_cabinet_x",
-        "loc_cabinet_y",
-        "loc_cage",
-        "loc_slot",
-        "loc_node_in_slot",
-        "loc_node_code",
-    ):
-        schema.add(name, GROUP_LOCATION)
-    for length in ("today", "yesterday", "before"):
-        schema.add(f"hist_node_{length}", GROUP_HIST, "hist_local", f"hist_{length}")
-        schema.add(f"hist_app_{length}", GROUP_HIST, "hist_app", f"hist_{length}")
-        schema.add(
-            f"hist_machine_{length}", GROUP_HIST, "hist_global", f"hist_{length}"
-        )
-    schema.add("hist_alloc_today", GROUP_HIST, "hist_local", "hist_today")
-    return schema
-
-
 class StreamingFeatureEngine:
     """Turns the event stream into feature rows, one run at a time."""
 
     def __init__(self, machine: Machine, top_apps: np.ndarray) -> None:
         self._machine = machine
         self._top_apps = np.asarray(top_apps, dtype=int)
-        self.schema = build_stream_schema(self._top_apps.size)
+        self.schema = feature_schema(self._top_apps.size)
         self._node_index = IncrementalHistoryIndex()
         self._app_index = IncrementalHistoryIndex()
-        #: run_idx -> history feature arrays computed at the run's start.
+        #: run_idx -> history counts computed at the run's start.
         self._pending: dict[int, dict[str, np.ndarray]] = {}
         self.rows_emitted = 0
         self.events_processed = 0
@@ -173,118 +127,32 @@ class StreamingFeatureEngine:
     def _on_start(self, event: RunStarted) -> None:
         if event.run_idx in self._pending:
             raise ValidationError(f"run {event.run_idx} started twice")
-        nodes = np.asarray(event.node_ids, dtype=int)
-        apps = np.asarray(event.app_ids, dtype=int)
-        starts = np.asarray(event.start_minutes, dtype=float)
-        day = MINUTES_PER_DAY
-        windows = (
-            ("today", -day, 0.0),
-            ("yesterday", -2.0 * day, -day),
-            ("before", -np.inf, -2.0 * day),
+        history = history_counts(
+            self._node_index,
+            self._app_index,
+            event.node_ids,
+            event.app_ids,
+            event.start_minutes,
         )
-        hist: dict[str, np.ndarray] = {}
-        for length, lo, hi in windows:
-            node_counts = np.asarray(
-                [
-                    self._node_index.count_between(nd, st + lo, st + hi)
-                    for nd, st in zip(nodes, starts)
-                ],
-                dtype=np.int64,
-            )
-            app_counts = np.asarray(
-                [
-                    self._app_index.count_between(ap, st + lo, st + hi)
-                    for ap, st in zip(apps, starts)
-                ],
-                dtype=np.int64,
-            )
-            machine_counts = np.asarray(
-                [
-                    self._node_index.global_between(st + lo, st + hi)
-                    for st in starts
-                ],
-                dtype=np.int64,
-            )
-            hist[f"node_{length}"] = node_counts
-            hist[f"app_{length}"] = app_counts
-            hist[f"machine_{length}"] = machine_counts
-        # Allocation-level history: mean node "today" count over the run's
-        # rows (float sum of integer-valued terms, exact — matches the
-        # batch builder's bincount accumulation).
-        today = hist["node_today"].astype(float)
-        hist["alloc_today"] = np.full(nodes.size, today.sum() / float(nodes.size))
-        self._pending[event.run_idx] = hist
+        history["alloc_today"] = alloc_history(
+            np.zeros(len(event.node_ids), dtype=int), history["node_today"]
+        )
+        self._pending[event.run_idx] = history
 
     def _on_complete(self, event: RunCompleted) -> list[StreamedRow]:
-        hist = self._pending.pop(event.run_idx, None)
-        if hist is None:
+        history = self._pending.pop(event.run_idx, None)
+        if history is None:
             raise ValidationError(
                 f"run {event.run_idx} completed but was never started"
             )
         r = event.rows
-        app_id = np.asarray(r["app_id"], dtype=int)
-        prev_app = np.asarray(r["prev_app_id"], dtype=int)
-        node_id = np.asarray(r["node_id"], dtype=int)
-        machine = self._machine
-        cfg = machine.config
-
-        columns: list[np.ndarray] = [np.asarray(app_id, dtype=float)]
-        for app in self._top_apps:
-            columns.append((app_id == app).astype(float))
-        columns.append(np.asarray(prev_app, dtype=float))
-        columns.append((prev_app == app_id).astype(float))
-        for name in (
-            "duration_minutes",
-            "n_nodes",
-            "gpu_core_hours",
-            "gpu_util",
-            "max_mem_gb",
-            "agg_mem_gb",
-        ):
-            columns.append(np.asarray(r[name], dtype=float))
-        for quantity in ("gpu_temp", "gpu_power"):
-            for suffix in _STAT_SUFFIXES:
-                columns.append(np.asarray(r[f"{quantity}_{suffix}"], dtype=float))
-        for window in PRE_WINDOWS_MINUTES:
-            for quantity in ("temp", "power"):
-                for suffix in _STAT_SUFFIXES:
-                    columns.append(
-                        np.asarray(r[f"pre{window}_{quantity}_{suffix}"], dtype=float)
-                    )
-        for quantity in ("cpu_temp", "nei_temp", "nei_power"):
-            for suffix in _STAT_SUFFIXES:
-                columns.append(np.asarray(r[f"{quantity}_{suffix}"], dtype=float))
-
-        columns.append(np.asarray(machine.cabinet_x[node_id], dtype=float))
-        columns.append(np.asarray(machine.cabinet_y[node_id], dtype=float))
-        per_cab = cfg.nodes_per_cabinet
-        within = node_id % per_cab
-        per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
-        columns.append(np.asarray(within // per_cage, dtype=float))
-        columns.append(
-            np.asarray((within % per_cage) // cfg.nodes_per_slot, dtype=float)
-        )
-        columns.append(np.asarray(within % cfg.nodes_per_slot, dtype=float))
-        columns.append(np.asarray(node_id, dtype=float))
-
-        for length in ("today", "yesterday", "before"):
-            columns.append(np.log1p(hist[f"node_{length}"]))
-            columns.append(np.log1p(hist[f"app_{length}"]))
-            columns.append(np.log1p(hist[f"machine_{length}"]))
-        columns.append(np.log1p(hist["alloc_today"]))
-
-        X = np.column_stack(columns)
-        if X.shape[1] != len(self.schema):  # pragma: no cover - invariant
-            raise ValidationError(
-                f"engine produced {X.shape[1]} columns, schema has "
-                f"{len(self.schema)}"
-            )
+        X = feature_block(r, self._machine, self._top_apps, history)
         rows = [
             StreamedRow(
                 run_idx=int(r["run_idx"][i]),
                 job_id=int(r["job_id"][i]),
-                node_id=int(node_id[i]),
-                app_id=int(app_id[i]),
+                node_id=int(r["node_id"][i]),
+                app_id=int(r["app_id"][i]),
                 start_minute=float(r["start_minute"][i]),
                 end_minute=float(r["end_minute"][i]),
                 duration_minutes=float(r["duration_minutes"][i]),
@@ -292,7 +160,7 @@ class StreamingFeatureEngine:
                 gpu_core_hours=float(r["gpu_core_hours"][i]),
                 features=X[i],
             )
-            for i in range(node_id.size)
+            for i in range(X.shape[0])
         ]
         self.rows_emitted += len(rows)
         # Looked up lazily: the engine is pickled into replay checkpoints

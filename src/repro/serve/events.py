@@ -9,7 +9,7 @@ stream.
 :func:`iter_trace_events` reconstructs the stream from a recorded
 :class:`~repro.telemetry.trace.Trace` so a saved (or freshly simulated,
 or fault-injected-then-sanitized) trace can be replayed through the
-online path.  Ordering rules mirror the batch semantics bit-for-bit:
+online path.  The ordering rules are what the batch history windows imply:
 
 * events are sorted by minute;
 * at equal minutes, run *starts* are delivered before completions and
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.features.history import dedupe_job_events, kept_job_rows
 from repro.telemetry.trace import SAMPLE_TELEMETRY_COLUMNS, Trace
 
 __all__ = [
@@ -92,8 +93,9 @@ class SbeObserved:
 
     Stamped at the last end minute of that (job, node) pair — the moment
     the batch job's nvidia-smi delta is attributed, i.e. the moment the
-    count becomes observable.  These are exactly the events the batch
-    :func:`~repro.features.history.dedupe_job_events` produces.
+    count becomes observable.  These are the events of
+    :func:`~repro.features.history.dedupe_job_events`, the same call that
+    seeds the batch builder's history indices.
     """
 
     minute: float
@@ -131,21 +133,23 @@ def event_phase(event) -> int:
 def iter_trace_events(trace: Trace):
     """Yield the trace's telemetry events in delivery order.
 
-    The reconstruction matches the batch feature builder's view of the
-    same trace: per-run rows keep samples-table order, and SBE events are
-    deduped per (job, node) with last-end-minute attribution exactly like
-    :func:`~repro.features.history.dedupe_job_events`.
+    The reconstruction gives the batch feature builder's view of the
+    same trace: per-run rows keep samples-table order, SBE events are
+    :func:`~repro.features.history.dedupe_job_events` over the positive
+    rows, and each ``JobResolved`` carries the kept row
+    (:func:`~repro.features.history.kept_job_rows`) of every (job, node)
+    over all of the job's rows, zeros included.
     """
-    s = trace.samples
     if trace.num_samples == 0:
         return
-    run_idx = np.asarray(s["run_idx"], dtype=int)
-    node_id = np.asarray(s["node_id"], dtype=int)
-    app_id = np.asarray(s["app_id"], dtype=int)
-    job_id = np.asarray(s["job_id"], dtype=int)
-    start = np.asarray(s["start_minute"], dtype=float)
-    end = np.asarray(s["end_minute"], dtype=float)
-    counts = np.asarray(s["sbe_count"], dtype=np.int64)
+    s = {name: np.asarray(trace.samples[name]) for name in ROW_COLUMNS}
+    run_idx = s["run_idx"].astype(int)
+    node_id = s["node_id"].astype(int)
+    app_id = s["app_id"].astype(int)
+    job_id = s["job_id"].astype(int)
+    start = s["start_minute"].astype(float)
+    end = s["end_minute"].astype(float)
+    counts = np.asarray(trace.samples["sbe_count"], dtype=np.int64)
 
     events: list[tuple[float, int, int, object]] = []
     seq = 0
@@ -155,14 +159,15 @@ def iter_trace_events(trace: Trace):
         events.append((event.minute, event_phase(event), seq, event))
         seq += 1
 
-    # --- runs: one start + one completion per run_idx ------------------
-    unique_runs, first_pos = np.unique(run_idx, return_index=True)
-    for rid in unique_runs[np.argsort(first_pos, kind="stable")]:
-        rows = np.nonzero(run_idx == rid)[0]
+    # --- runs, in first-appearance order: one start + one completion ---
+    by_run = np.argsort(run_idx, kind="stable")
+    runs = np.split(by_run, np.flatnonzero(np.diff(run_idx[by_run])) + 1)
+    for rows in sorted(runs, key=lambda rows: rows[0]):
+        rid = int(run_idx[rows[0]])
         push(
             RunStarted(
                 minute=float(start[rows].min()),
-                run_idx=int(rid),
+                run_idx=rid,
                 node_ids=node_id[rows],
                 app_ids=app_id[rows],
                 start_minutes=start[rows],
@@ -171,65 +176,33 @@ def iter_trace_events(trace: Trace):
         push(
             RunCompleted(
                 minute=float(end[rows].max()),
-                run_idx=int(rid),
-                rows={name: np.asarray(s[name])[rows] for name in ROW_COLUMNS},
+                run_idx=rid,
+                rows={name: column[rows] for name, column in s.items()},
             )
         )
 
     # --- per-(job, node) SBE events, deduped like the batch builder ----
-    positive = counts > 0
-    if positive.any():
-        jobs_p = job_id[positive]
-        nodes_p = node_id[positive]
-        ends_p = end[positive]
-        counts_p = counts[positive]
-        order = np.lexsort((ends_p, nodes_p, jobs_p))
-        job_s, node_s, end_s, cnt_s = (
-            jobs_p[order],
-            nodes_p[order],
-            ends_p[order],
-            counts_p[order],
-        )
-        is_last = np.ones(job_s.size, dtype=bool)
-        is_last[:-1] = (job_s[:-1] != job_s[1:]) | (node_s[:-1] != node_s[1:])
-        # App attribution matches the batch builder: the last samples-table
-        # occurrence of each (job, node) wins.
-        app_of: dict[tuple[int, int], int] = {}
-        for j, nd, ap in zip(job_id, node_id, app_id):
-            app_of[(int(j), int(nd))] = int(ap)
-        for j, nd, minute, count in zip(
-            job_s[is_last], node_s[is_last], end_s[is_last], cnt_s[is_last]
-        ):
-            push(
-                SbeObserved(
-                    minute=float(minute),
-                    job_id=int(j),
-                    node_id=int(nd),
-                    app_id=app_of[(int(j), int(nd))],
-                    count=int(count),
-                )
+    sbe = dedupe_job_events(job_id, node_id, end, counts, app_id)
+    for job, node, minute, count, app in zip(*sbe):
+        push(
+            SbeObserved(
+                minute=float(minute),
+                job_id=int(job),
+                node_id=int(node),
+                app_id=int(app),
+                count=int(count),
             )
+        )
 
     # --- per-job label resolution (zeros included) ---------------------
-    for jid in np.unique(job_id):
-        rows = np.nonzero(job_id == jid)[0]
-        # Keep one count per node: the row with the latest end minute,
-        # later table row winning ties — same rule as the SBE events.
-        per_node: dict[int, tuple[float, int]] = {}
-        for r in rows:
-            nd = int(node_id[r])
-            best = per_node.get(nd)
-            if best is None or end[r] >= best[0]:
-                per_node[nd] = (float(end[r]), int(counts[r]))
-        nodes_sorted = sorted(per_node)
+    kept = kept_job_rows(job_id, node_id, end)
+    for rows in np.split(kept, np.flatnonzero(np.diff(job_id[kept])) + 1):
         push(
             JobResolved(
                 minute=float(end[rows].max()),
-                job_id=int(jid),
-                node_ids=np.asarray(nodes_sorted, dtype=int),
-                counts=np.asarray(
-                    [per_node[nd][1] for nd in nodes_sorted], dtype=np.int64
-                ),
+                job_id=int(job_id[rows[0]]),
+                node_ids=node_id[rows],
+                counts=counts[rows],
             )
         )
 

@@ -112,10 +112,10 @@ class TestFeatureSemantics:
         """hist_node_today must count only SBEs whose job finished
         strictly before the sample's run start."""
         s = tiny_trace.samples
-        nodes, minutes, counts = dedupe_job_events(
-            s["job_id"], s["node_id"], s["end_minute"], s["sbe_count"]
+        events = dedupe_job_events(
+            s["job_id"], s["node_id"], s["end_minute"], s["sbe_count"], s["app_id"]
         )
-        index = HistoryIndex(nodes, minutes, counts)
+        index = HistoryIndex(events.node_ids, events.minutes, events.counts)
         col = tiny_features.schema.index_of("hist_node_today")
         # Check a sample of rows against a brute-force recomputation.
         rng = np.random.default_rng(0)

@@ -12,25 +12,34 @@ from repro.utils.errors import ValidationError
 class TestDedupeJobEvents:
     def test_collapses_multi_aprun_jobs(self):
         # Job 1 has two apruns on node 5, both carrying the job delta 3.
-        nodes, minutes, counts = dedupe_job_events(
+        events = dedupe_job_events(
             job_ids=np.array([1, 1, 2]),
             node_ids=np.array([5, 5, 5]),
             end_minutes=np.array([100.0, 200.0, 300.0]),
             sbe_counts=np.array([3, 3, 1]),
+            app_ids=np.array([7, 7, 8]),
         )
-        assert nodes.tolist() == [5, 5]
-        assert minutes.tolist() == [200.0, 300.0]
-        assert counts.tolist() == [3, 1]
+        assert events.node_ids.tolist() == [5, 5]
+        assert events.minutes.tolist() == [200.0, 300.0]
+        assert events.counts.tolist() == [3, 1]
+        assert events.job_ids.tolist() == [1, 2]
+        assert events.app_ids.tolist() == [7, 8]
 
     def test_drops_zero_counts(self):
-        nodes, minutes, counts = dedupe_job_events(
-            np.array([1]), np.array([2]), np.array([50.0]), np.array([0])
+        events = dedupe_job_events(
+            np.array([1]), np.array([2]), np.array([50.0]), np.array([0]), np.array([4])
         )
-        assert nodes.size == 0
+        assert events.node_ids.size == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            dedupe_job_events(np.array([1]), np.array([1, 2]), np.array([1.0]), np.array([1]))
+            dedupe_job_events(
+                np.array([1]),
+                np.array([1, 2]),
+                np.array([1.0]),
+                np.array([1]),
+                np.array([1]),
+            )
 
 
 class TestHistoryIndex:
@@ -50,17 +59,12 @@ class TestHistoryIndex:
         assert index.count_between(99, 0.0, 100.0) == 0
 
     def test_count_before(self, index):
-        assert index.count_before(1, 50.0) == 2
-        assert index.count_before(1, 50.1) == 5
+        assert index.count_between(1, -np.inf, 50.0) == 2
+        assert index.count_between(1, -np.inf, 50.1) == 5
 
     def test_global_counts(self, index):
-        assert index.global_before(100.0) == 13
+        assert index.global_between(-np.inf, 100.0) == 13
         assert index.global_between(20.0, 60.0) == 10
-
-    def test_keys_before(self, index):
-        assert index.keys_before(5.0).tolist() == []
-        assert index.keys_before(15.0).tolist() == [1]
-        assert index.keys_before(40.0).tolist() == [1, 2]
 
     def test_batch_matches_scalar(self, index):
         keys = np.array([1, 2, 1, 99])
@@ -124,8 +128,7 @@ class TestIncrementalHistoryIndex:
         index = IncrementalHistoryIndex()
         assert len(index) == 0
         assert index.count_between(5, 0.0, 100.0) == 0
-        assert index.global_before(1e9) == 0
-        assert index.keys_before(1e9).tolist() == []
+        assert index.global_between(-np.inf, 1e9) == 0
 
     @given(
         st.lists(
@@ -160,7 +163,10 @@ class TestIncrementalHistoryIndex:
             assert incremental.count_between(key, lo, hi) == batch.count_between(
                 key, lo, hi
             )
-            assert incremental.count_before(key, hi) == batch.count_before(key, hi)
+            assert incremental.count_between(
+                key, -np.inf, hi
+            ) == batch.count_between(key, -np.inf, hi)
         assert incremental.global_between(lo, hi) == batch.global_between(lo, hi)
-        assert incremental.global_before(hi) == batch.global_before(hi)
-        assert incremental.keys_before(hi).tolist() == batch.keys_before(hi).tolist()
+        assert incremental.global_between(-np.inf, hi) == batch.global_between(
+            -np.inf, hi
+        )

@@ -61,6 +61,7 @@ def assert_stream_matches_batch(trace, top_k_apps: int = 16):
     rows = list(engine.stream(iter_trace_events(trace)))
 
     assert engine.schema.names == batch.schema.names
+    assert engine.schema.tags == batch.schema.tags
     assert len(rows) == batch.num_samples
     assert engine.pending_runs == 0  # every start saw its completion
 
@@ -159,9 +160,9 @@ class TestEngineStateMachine:
         engine.process(
             SbeObserved(minute=100.0, job_id=1, node_id=3, app_id=2, count=4)
         )
-        assert engine.node_index.count_before(3, 101.0) == 4
-        assert engine.app_index.count_before(2, 101.0) == 4
-        assert engine.node_index.global_before(101.0) == 4
+        assert engine.node_index.count_between(3, -np.inf, 101.0) == 4
+        assert engine.app_index.count_between(2, -np.inf, 101.0) == 4
+        assert engine.node_index.global_between(-np.inf, 101.0) == 4
 
     def test_event_ordering_starts_before_sbes_at_equal_minute(self, tiny_trace):
         # An SBE stamped exactly at a later run's start minute must not be

@@ -24,9 +24,13 @@ store: a 4-segment out-of-core write must stream back the serial bits,
 a simulation killed after one committed segment must resume from its
 journal to the same digest, and every disk-fault kind (torn write, bit
 flip, missing segment, stale manifest) must heal back to the serial
-bits on load.  Any drift (a reordered RNG draw, an accidental
-dependence on dict order or wall-clock) fails loudly here before it can
-silently invalidate cached traces or experiment results.
+bits on load.  The features leg builds the feature matrix three ways —
+``build_features``, ``build_features_from_store`` on that 4-segment
+store, and the streaming engine's rows through ``rows_to_matrix`` in
+batch row order — and demands one ``features_digest``.  Any drift (a
+reordered RNG draw, an accidental dependence on dict order or
+wall-clock) fails loudly here before it can silently invalidate cached
+traces or experiment results.
 
 Usage::
 
@@ -51,11 +55,18 @@ import numpy as np
 from repro.experiments.presets import PRESETS, preset_config, split_plan
 from repro.scenarios import Scenario, scenario_preset
 from repro.faults import FaultSpec, inject_faults
+from repro.features.builder import (
+    build_features,
+    build_features_from_store,
+    compute_top_apps,
+)
 from repro.features.splits import make_paper_splits
 from repro.gateway import GatewayConfig, build_gateway, run_fleet
 from repro.parallel.simulate import simulate_trace_sharded
 from repro.serve import ChaosPlan, serve_replay
 from repro.serve.drift import DriftConfig
+from repro.serve.engine import StreamingFeatureEngine, rows_to_matrix
+from repro.serve.events import iter_trace_events
 from repro.store import (
     DISK_FAULT_KINDS,
     DiskFaultSpec,
@@ -68,9 +79,12 @@ from repro.telemetry.simulator import simulate_trace
 from repro.telemetry.trace import Trace
 from repro.utils.errors import DegradedDataWarning, SimulatedCrashError
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+from tests.golden.canonical import features_digest  # noqa: E402
 
 #: Serving digests pinned for the ``tiny`` preset.
-SERVING_PINS = Path(__file__).resolve().parents[1] / "tests/golden/serving_digests.json"
+SERVING_PINS = REPO_ROOT / "tests/golden/serving_digests.json"
 
 
 def pin_failures(preset: str, name: str, digest: str) -> int:
@@ -101,6 +115,29 @@ def kill_and_resume(trace: Trace, crash_after: int, checkpoint_every: int, **kwa
         except SimulatedCrashError as exc:
             print(f"  killed: {exc}")
         return serve_replay(trace, root_path / "registry", resume=True, **kwargs)
+
+
+def feature_digests(trace: Trace, store: SegmentedTraceStore) -> dict[str, str]:
+    """``features_digest`` of the batch, out-of-core and streamed matrices."""
+    batch = build_features(trace)
+    engine = StreamingFeatureEngine(
+        trace.machine, compute_top_apps(trace.samples["app_id"], 16)
+    )
+    by_key = {
+        (row.run_idx, row.node_id): row
+        for row in engine.stream(iter_trace_events(trace))
+    }
+    keys = zip(batch.meta["run_idx"].tolist(), batch.meta["node_id"].tolist())
+    streamed = rows_to_matrix(
+        [by_key[key] for key in keys],
+        engine.schema,
+        sbe_counts=batch.meta["sbe_count"],
+    )
+    return {
+        "batch": features_digest(batch),
+        "store": features_digest(build_features_from_store(store)),
+        "stream": features_digest(streamed),
+    }
 
 
 def trace_digest(trace: Trace) -> str:
@@ -360,7 +397,11 @@ def main(argv: list[str] | None = None) -> int:
         failures += 1
     failures += pin_failures(args.preset, "replay_drift_retrain", drift_digest)
 
-    print("writing the segmented trace store and breaking it ...", flush=True)
+    print(
+        "writing the segmented trace store, building features from it, "
+        "and breaking it ...",
+        flush=True,
+    )
     config = preset_config(args.preset)
     with tempfile.TemporaryDirectory() as root:
         root_path = Path(root)
@@ -371,6 +412,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  segmented store ok (bit-identical to serial, {streamed[:16]}...)")
         else:
             print(f"  SEGMENTED != SERIAL: {loaded[:16]} != {digest_a[:16]}")
+            failures += 1
+
+        # One feature definition: batch, out-of-core and streamed rows.
+        features = feature_digests(trace_a, store)
+        if len(set(features.values())) == 1:
+            print(
+                f"  features ok (batch == store == stream, "
+                f"{features['batch'][:16]}...)"
+            )
+        else:
+            shown = ", ".join(f"{k} {v[:16]}" for k, v in features.items())
+            print(f"  FEATURES MISMATCH: {shown}")
             failures += 1
 
         # Kill the segmented simulation after one committed segment, then

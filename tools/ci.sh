@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Single CI entry point: determinism gate (incl. the sharded --jobs 2,
-# scenario-neutrality, segmented-store, and gateway-parity legs) +
+# scenario-neutrality, segmented-store, gateway-parity, and features
+# legs; the last demands one features digest from the batch, out-of-core
+# and streaming builders) +
 # tier-1 tests + golden-digest regression + parallel smoke + serve
 # smoke legs (clean, chaos, kill-and-resume) + drift smoke (regime
 # change -> detector fires -> guarded retrain recovers F1; poisoned
