@@ -401,7 +401,7 @@ def build_features_from_store(
 
     meta = {name: np.empty(total, dtype=dtype) for name, dtype in _META_COLUMNS}
     for index, dest in enumerate(dests):
-        s = store.segment_samples(index)
+        s = store.segment_table(index, "samples")
         for name, _ in _META_COLUMNS:
             meta[name][dest] = s[name]
     top_apps = compute_top_apps(meta["app_id"], top_k_apps)
@@ -411,7 +411,7 @@ def build_features_from_store(
     X = np.empty((total, len(schema)), dtype=float)
     for index, dest in enumerate(dests):
         X[dest] = feature_block(
-            store.segment_samples(index),
+            store.segment_table(index, "samples"),
             machine,
             top_apps,
             {key: counts[dest] for key, counts in history.items()},

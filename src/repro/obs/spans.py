@@ -2,10 +2,10 @@
 
 A :class:`SpanTracer` accumulates named span durations.  It is
 deliberately tiny and self-contained (no registry reference required) so
-it can run inside process-pool workers and be merged in the parent —
-the pattern the sharded simulator uses to keep ``--jobs N`` snapshots
-bit-identical to ``--jobs 1``: wall timings travel back with the shard
-result and are recorded (as wall-excluded metrics) only at merge time.
+it can run inside process-pool workers: the sharded simulator returns
+its totals as a plain ``stage_seconds`` dict on each shard result, and
+records them (as wall-excluded metrics) only at merge time, which keeps
+``--jobs N`` snapshots bit-identical to ``--jobs 1``.
 
 Two clock sources:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 __all__ = ["SpanTracer"]
 
@@ -63,19 +63,9 @@ class SpanTracer:
             self._open = None
             self.add(name, self._clock() - started)
 
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
+    def add(self, name: str, seconds: float) -> None:
         self._seconds[name] = self._seconds.get(name, 0.0) + float(seconds)
-        self._counts[name] = self._counts.get(name, 0) + count
-
-    def merge(self, other: "SpanTracer | dict[str, float]") -> None:
-        """Fold another tracer (or a plain name->seconds dict, e.g. one
-        that crossed a process boundary) into this one."""
-        if isinstance(other, SpanTracer):
-            for name, seconds in other._seconds.items():
-                self.add(name, seconds, other._counts.get(name, 1))
-        else:
-            for name, seconds in other.items():
-                self.add(name, seconds)
+        self._counts[name] = self._counts.get(name, 0) + 1
 
     @property
     def seconds(self) -> dict[str, float]:
@@ -88,45 +78,3 @@ class SpanTracer:
 
     def get(self, name: str) -> float:
         return self._seconds.get(name, 0.0)
-
-    def records(self) -> list[dict[str, Any]]:
-        """JSON-able span records, ready for ``Trace.meta`` round-trips."""
-        return [
-            {
-                "name": name,
-                "seconds": seconds,
-                "count": self._counts.get(name, 1),
-            }
-            for name, seconds in self._seconds.items()
-        ]
-
-    def record_to(
-        self,
-        registry,
-        *,
-        component: str,
-        wall: bool = True,
-        **labels: Any,
-    ) -> None:
-        """Publish accumulated spans into a registry as
-        ``repro_span_seconds_total`` / ``repro_span_count_total``."""
-        seconds_counter = registry.counter(
-            "repro_span_seconds_total",
-            "Total time spent inside named spans.",
-            wall=wall,
-        )
-        count_counter = registry.counter(
-            "repro_span_count_total",
-            "Number of completed named spans.",
-            wall=wall,
-        )
-        for name, seconds in self._seconds.items():
-            seconds_counter.inc(
-                seconds, span=name, component=component, **labels
-            )
-            count_counter.inc(
-                self._counts.get(name, 1),
-                span=name,
-                component=component,
-                **labels,
-            )

@@ -11,12 +11,12 @@ bit-identity for stores too large to load whole:
 
 holds by construction, and a parity test enforces it.
 
-The streaming reconstruction mirrors
-:func:`~repro.telemetry.simulator.merge_shard_results` operation for
-operation — first-contributor-wins for per-run draws, ``sbe_total``
-summed segment-ascending, node aggregates concatenated then divided —
-so every float is produced by the same sequence of arithmetic as the
-merged trace, not merely a mathematically equal one.
+Rows and runs are placed by the same two functions the in-memory merge
+uses — :func:`~repro.telemetry.simulator.row_destinations` for sample
+rows and :func:`~repro.telemetry.simulator.merge_runs` for the runs
+table (first shard's per-run draws, cross-checked; ``sbe_total`` summed
+segment-ascending) — and node aggregates are concatenated then divided,
+so every float comes from the same arithmetic as the merged trace.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from repro.store.segments import SegmentedTraceStore
-from repro.utils.errors import SegmentCorruptionError
+from repro.telemetry.simulator import merge_runs
 
 __all__ = ["store_trace_digest"]
 
@@ -37,47 +37,6 @@ def _update_array(hasher, name: str, array: np.ndarray) -> None:
     hasher.update(name.encode())
     hasher.update(str(array.dtype).encode())
     hasher.update(np.ascontiguousarray(array).tobytes())
-
-
-def _run_names(store: SegmentedTraceStore) -> list[str]:
-    path = store.segment_path(0)
-    with np.load(path) as data:
-        return [k.split("/", 1)[1] for k in data.files if k.startswith("runs/")]
-
-
-def _merged_runs(store: SegmentedTraceStore) -> dict[str, np.ndarray]:
-    """Rebuild the merged runs table from per-segment run rows.
-
-    Replicates the merge exactly: rows laid out in completion order, the
-    lowest-index segment's values winning (they are asserted equal at
-    merge time anyway), ``sbe_total`` accumulated segment-ascending so
-    float additions happen in the same order as the in-memory merge.
-    """
-    order = store.completion_order()
-    position = {run_id: pos for pos, run_id in enumerate(order)}
-    names = _run_names(store)
-    columns: dict[str, np.ndarray] = {}
-    seen = np.zeros(len(order), dtype=bool)
-    for index in range(store.num_segments):
-        with np.load(store.segment_path(index)) as data:
-            local = {name: data[f"runs/{name}"] for name in names}
-        idx = np.asarray(
-            [position[int(run_id)] for run_id in local["run_id"]], dtype=np.int64
-        )
-        fresh = ~seen[idx]
-        for name, arr in local.items():
-            col = columns.setdefault(name, np.zeros(len(order), dtype=arr.dtype))
-            col[idx[fresh]] = arr[fresh]
-            if name == "sbe_total":
-                col[idx[~fresh]] += arr[~fresh]
-        seen[idx] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise SegmentCorruptionError(
-            store.root,
-            f"run {order[missing]} appears in no segment; store is incomplete",
-        )
-    return columns
 
 
 def store_trace_digest(store: SegmentedTraceStore, *, strict: bool = False) -> str:
@@ -99,7 +58,10 @@ def store_trace_digest(store: SegmentedTraceStore, *, strict: bool = False) -> s
             column[dests[index]] = part
         _update_array(hasher, f"samples/{name}", column)
 
-    runs = _merged_runs(store)
+    runs = merge_runs(
+        store.completion_order(),
+        [store.segment_table(i, "runs") for i in range(store.num_segments)],
+    )
     for name in sorted(runs):
         _update_array(hasher, f"runs/{name}", runs[name])
 

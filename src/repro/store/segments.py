@@ -1,11 +1,14 @@
 """Segmented on-disk trace format with verify-on-read and self-healing.
 
 A store directory holds one checksummed npz archive per row-aligned
-:class:`~repro.topology.sharding.ShardSpan` — each the faithful
-serialization of the span's :class:`~repro.telemetry.simulator.ShardResult`
-— plus a ``MANIFEST.json`` written **last** (atomic temp-then-rename via
+:class:`~repro.topology.sharding.ShardSpan` — the span's columnar
+:class:`~repro.telemetry.simulator.ShardResult`, one member per array —
+plus a ``MANIFEST.json`` written **last** (atomic temp-then-rename via
 :mod:`repro.utils.io`), which is the store's commit point: a reader never
-observes a store that claims to be complete but is not.
+observes a store that claims to be complete but is not.  Readers place
+segment rows with the simulator's own
+:func:`~repro.telemetry.simulator.row_destinations`, so a store and an
+in-memory merge share one serial row order.
 
 Layout::
 
@@ -38,7 +41,11 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.telemetry.config import TraceConfig
-from repro.telemetry.simulator import ShardResult, merge_shard_results
+from repro.telemetry.simulator import (
+    ShardResult,
+    merge_shard_results,
+    row_destinations,
+)
 from repro.telemetry.trace import Trace, config_from_dict, config_to_dict
 from repro.topology.sharding import ShardSpan
 from repro.utils.errors import (
@@ -90,32 +97,29 @@ def store_key(config: TraceConfig, num_segments: int) -> str:
 # ----------------------------------------------------------------------
 # ShardResult <-> npz serialization
 # ----------------------------------------------------------------------
+def _group(data, prefix: str) -> dict[str, np.ndarray]:
+    """The ``<prefix>/<name>`` members of an open npz, keyed by name."""
+    return {
+        key.split("/", 1)[1]: data[key]
+        for key in data.files
+        if key.startswith(prefix + "/")
+    }
+
+
 def _result_to_arrays(result: ShardResult) -> dict[str, np.ndarray]:
-    """Flatten a :class:`ShardResult` into named arrays for one npz."""
+    """Name a :class:`ShardResult`'s arrays for one npz."""
     arrays: dict[str, np.ndarray] = {
-        "block_run_id": np.asarray(
-            [run_id for run_id, _ in result.blocks], dtype=np.int64
-        ),
-        "block_size": np.asarray(
-            [next(iter(block.values())).shape[0] for _, block in result.blocks],
-            dtype=np.int64,
-        ),
-        "completion_order": np.asarray(result.completion_order, dtype=np.int64),
+        "block_run_id": np.asarray(result.run_ids, dtype=np.int64),
+        "block_size": result.block_size,
+        "completion_order": result.completion_order,
         "temp_sum": result.temp_sum,
         "power_sum": result.power_sum,
         "node_susceptibility": result.node_susceptibility,
         "num_ticks": np.asarray(result.num_ticks, dtype=np.int64),
     }
-    if result.blocks:
-        for name in result.blocks[0][1]:
-            arrays[f"samples/{name}"] = np.concatenate(
-                [block[name] for _, block in result.blocks]
-            )
-    if result.run_rows:
-        for name in result.run_rows[0]:
-            arrays[f"runs/{name}"] = np.asarray(
-                [row[name] for row in result.run_rows]
-            )
+    for table, columns in (("samples", result.samples), ("runs", result.runs)):
+        for name, col in columns.items():
+            arrays[f"{table}/{name}"] = col
     for node, series in result.recorded.items():
         for name, col in series.items():
             arrays[f"recorded/{node}/{name}"] = col
@@ -133,50 +137,27 @@ def _arrays_to_result(
     ``np.load`` handle); arrays are read lazily, one zip member at a
     time.
     """
-    block_run_id = data["block_run_id"]
-    block_size = data["block_size"]
-    sample_names = [k.split("/", 1)[1] for k in data.files if k.startswith("samples/")]
-    run_names = [k.split("/", 1)[1] for k in data.files if k.startswith("runs/")]
-
-    offsets = np.concatenate([[0], np.cumsum(block_size)]).astype(np.int64)
-    columns = {name: data[f"samples/{name}"] for name in sample_names}
-    blocks: list[tuple[int, dict[str, np.ndarray]]] = []
-    for b, run_id in enumerate(block_run_id):
-        start, stop = int(offsets[b]), int(offsets[b + 1])
-        blocks.append(
-            (int(run_id), {name: columns[name][start:stop] for name in sample_names})
-        )
-
-    run_columns = {name: data[f"runs/{name}"] for name in run_names}
-    num_runs = next(iter(run_columns.values())).shape[0] if run_columns else 0
-    run_rows = [
-        {name: run_columns[name][i].item() for name in run_names}
-        for i in range(num_runs)
-    ]
-
     recorded: dict[int, dict[str, np.ndarray]] = {}
     for key in data.files:
         if key.startswith("recorded/"):
             _, node_str, name = key.split("/", 2)
             recorded.setdefault(int(node_str), {})[name] = data[key]
-    stage_seconds = {
-        key.split("/", 1)[1]: float(data[key])
-        for key in data.files
-        if key.startswith("stage/")
-    }
     return ShardResult(
         lo=lo,
         hi=hi,
-        completion_order=[int(r) for r in data["completion_order"]],
-        blocks=blocks,
-        run_rows=run_rows,
+        completion_order=data["completion_order"],
+        samples=_group(data, "samples"),
+        runs=_group(data, "runs"),
+        block_size=data["block_size"],
         temp_sum=data["temp_sum"],
         power_sum=data["power_sum"],
         node_susceptibility=data["node_susceptibility"],
         recorded=recorded,
         app_names=list(app_names),
         num_ticks=int(data["num_ticks"]),
-        stage_seconds=stage_seconds,
+        stage_seconds={
+            stage: float(seconds) for stage, seconds in _group(data, "stage").items()
+        },
     )
 
 
@@ -227,9 +208,7 @@ def write_segment(
                 np.savez_compressed(sink, **arrays)
     except OSError as exc:
         raise TraceIOError(path, f"segment write failed: {exc}") from exc
-    num_samples = int(
-        sum(next(iter(block.values())).shape[0] for _, block in result.blocks)
-    )
+    num_samples = int(result.block_size.sum())
     registry = get_registry()
     registry.counter(
         "repro_store_segments_written_total", "Segments committed to disk."
@@ -242,8 +221,8 @@ def write_segment(
         "file": path.name,
         "checksum": sha256_file(path),
         "num_samples": num_samples,
-        "num_blocks": len(result.blocks),
-        "num_runs": len(result.run_rows),
+        "num_blocks": len(result.block_size),
+        "num_runs": len(result.block_size),
     }
 
 
@@ -277,11 +256,6 @@ class SegmentedTraceStore:
     def manifest_path(self) -> Path:
         """The commit-point manifest file."""
         return self.root / MANIFEST_NAME
-
-    @property
-    def journal_path(self) -> Path:
-        """The per-segment progress journal."""
-        return self.root / JOURNAL_NAME
 
     @property
     def quarantine_path(self) -> Path:
@@ -432,23 +406,19 @@ class SegmentedTraceStore:
                 path, f"cannot read array {name!r}: {exc}", index=index
             ) from exc
 
-    def segment_samples(self, index: int) -> dict[str, np.ndarray]:
-        """One segment's sample columns (rows in segment-local order).
+    def segment_table(self, index: int, table: str) -> dict[str, np.ndarray]:
+        """One segment's ``samples`` or ``runs`` columns (segment-local order).
 
-        The out-of-core unit of the streaming feature builder: callers
-        pair it with :meth:`row_layout` to place the rows globally.
+        The out-of-core unit of the streaming readers: callers pair the
+        sample columns with :meth:`row_layout` to place the rows globally.
         """
         path = self.segment_path(index)
         try:
             with np.load(path) as data:
-                return {
-                    key.split("/", 1)[1]: data[key]
-                    for key in data.files
-                    if key.startswith("samples/")
-                }
+                return _group(data, table)
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
             raise SegmentCorruptionError(
-                path, f"cannot read sample columns: {exc}", index=index
+                path, f"cannot read {table} columns: {exc}", index=index
             ) from exc
 
     def sample_column_names(self) -> list[str]:
@@ -565,73 +535,25 @@ class SegmentedTraceStore:
         trace.meta["store"] = str(self.root)
         return trace
 
-    def iter_shard_results(self, *, strict: bool = False):
-        """Yield ``(index, ShardResult)`` segment-at-a-time.
-
-        The out-of-core counterpart of :meth:`load_trace`: only one
-        segment is materialized at a time.  Damaged segments heal (or
-        raise, in strict mode) exactly as in :meth:`load_trace`.
-        """
-        for index in range(self.num_segments):
-            try:
-                result = self.load_shard_result(index)
-            except SegmentCorruptionError as exc:
-                if strict:
-                    raise
-                self.recover_segment(index, detail=str(exc))
-                result = self.load_shard_result(index)
-            yield index, result
-
     # -- row layout -----------------------------------------------------
-    def completion_order(self) -> list[int]:
+    def completion_order(self) -> np.ndarray:
         """The schedule's run-completion order (from the first segment)."""
-        return [int(r) for r in self.read_segment_array(0, "completion_order")]
+        return self.read_segment_array(0, "completion_order")
 
     def row_layout(self) -> tuple[int, list[np.ndarray]]:
         """Global row destinations for every segment's sample rows.
 
-        Returns ``(total_rows, dests)`` where ``dests[s][i]`` is the row
-        index that segment ``s``'s ``i``-th sample occupies in the merged
-        (serial-order) trace.  Only the tiny block-index arrays are read,
-        never the sample columns, so streaming consumers (the segment
-        digest, the out-of-core feature builder) can scatter columns into
-        global order one segment at a time.
+        :func:`~repro.telemetry.simulator.row_destinations` over each
+        segment's block index: ``dests[s][i]`` is the row segment ``s``'s
+        ``i``-th sample occupies in the merged (serial-order) trace.
+        Only the tiny block-index arrays are read, never the sample
+        columns, so streaming consumers (the segment digest, the
+        out-of-core feature builder) can scatter columns into global
+        order one segment at a time.
         """
-        order = self.completion_order()
-        position = {run_id: pos for pos, run_id in enumerate(order)}
-        # (run position, segment index) -> block length; serial row order
-        # is runs in completion order, segments ascending within a run.
-        block_meta: list[list[tuple[int, int, int]]] = []
-        for index in range(self.num_segments):
-            run_ids = self.read_segment_array(index, "block_run_id")
-            sizes = self.read_segment_array(index, "block_size")
-            block_meta.append(
-                [
-                    (position[int(rid)], int(size), b)
-                    for b, (rid, size) in enumerate(zip(run_ids, sizes))
-                ]
-            )
-        flat = [
-            (pos, seg, b, size)
-            for seg, blocks in enumerate(block_meta)
-            for (pos, size, b) in blocks
-        ]
-        flat.sort(key=lambda t: (t[0], t[1]))
-        offset = 0
-        starts: dict[tuple[int, int], int] = {}
-        for pos, seg, b, size in flat:
-            starts[(seg, b)] = offset
-            offset += size
-        total = offset
-        dests: list[np.ndarray] = []
-        for seg, blocks in enumerate(block_meta):
-            parts = [
-                np.arange(starts[(seg, b)], starts[(seg, b)] + size, dtype=np.int64)
-                for (pos, size, b) in blocks
-            ]
-            dests.append(
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=np.int64)
-            )
-        return total, dests
+        segments = range(self.num_segments)
+        return row_destinations(
+            self.completion_order(),
+            [self.read_segment_array(i, "block_run_id") for i in segments],
+            [self.read_segment_array(i, "block_size") for i in segments],
+        )

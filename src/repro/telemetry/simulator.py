@@ -25,10 +25,11 @@ and returns a :class:`ShardResult`.  All randomness is keyed by stable
 entities — per-cabinet-row noise streams, per-run utilization draws,
 per-``(run, node)`` SBE draws, whole-machine static draws sliced to the
 span — so a shard computes exactly the values the serial run would, and
-:func:`merge_shard_results` reassembles shard outputs (in the schedule's
-deterministic completion order) into a trace that is bit-identical to
-``TraceSimulator(config).run()``.  The serial path itself goes through the
-same merge, so there is a single ordering code path to keep in sync.
+:func:`merge_shard_results` reassembles shard outputs into a trace that is
+bit-identical to ``TraceSimulator(config).run()``.  The serial row order
+lives in :func:`row_destinations` and the runs merge in
+:func:`merge_runs`; the in-memory merge (serial path included), the
+segmented store's row layout and its streamed digest all call them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ from repro.telemetry.power import PowerModel
 from repro.telemetry.sampler import RUN_STAT_QUANTITIES, HistoryRing, VectorWelford
 from repro.telemetry.scheduler import ScheduledRun, WorkloadScheduler
 from repro.telemetry.thermal import ThermalModel
-from repro.telemetry.trace import PRE_WINDOWS_MINUTES, Trace
+from repro.telemetry.trace import (
+    PRE_WINDOWS_MINUTES,
+    SAMPLE_TELEMETRY_COLUMNS,
+    Trace,
+)
 from repro.topology.machine import Machine
 from repro.topology.sharding import ShardSpan, full_span, validate_span
 from repro.utils.errors import SimulationError
@@ -60,8 +65,30 @@ __all__ = [
     "ShardResult",
     "simulate_trace",
     "merge_shard_results",
-    "completion_order",
+    "merge_runs",
+    "row_destinations",
 ]
+
+#: Sample columns in storage order.  A run-constant column carries its
+#: sample dtype and repeats a runs-table value over the run's rows; a
+#: per-node column (``None``) comes from the run's block.
+_SAMPLE_COLUMNS: tuple[tuple[str, type | None], ...] = (
+    ("run_idx", np.int32),
+    ("job_id", np.int32),
+    ("app_id", np.int32),
+    ("user_id", np.int32),
+    ("node_id", None),
+    ("start_minute", np.float64),
+    ("end_minute", np.float64),
+    ("duration_minutes", np.float64),
+    ("n_nodes", np.int32),
+    ("gpu_core_hours", np.float64),
+    ("gpu_util", np.float64),
+    ("max_mem_gb", np.float64),
+    ("agg_mem_gb", np.float64),
+    ("prev_app_id", None),
+    ("sbe_count", None),
+) + tuple((name, None) for name in SAMPLE_TELEMETRY_COLUMNS)
 
 
 @dataclass
@@ -93,16 +120,21 @@ class _PendingJob:
 class ShardResult:
     """Everything one shard contributes to the merged trace.
 
-    ``blocks`` and ``run_rows`` cover only runs that intersect the span
-    (with per-node columns restricted to owned nodes); ``sbe_total`` on a
-    run row is the *local* contribution, summed across shards at merge.
+    ``samples`` and ``runs`` are columnar tables over the runs that
+    intersect the span, in the order the shard completed them, with
+    per-node columns restricted to owned nodes; run ``i`` owns the next
+    ``block_size[i]`` sample rows.  ``sbe_total`` on a run row is the
+    *local* contribution, summed across shards at merge.  A shard that
+    completed no runs has empty ``samples`` and ``runs``.  These are
+    exactly the arrays a store segment holds.
     """
 
     lo: int
     hi: int
-    completion_order: list[int]
-    blocks: list[tuple[int, dict[str, np.ndarray]]]
-    run_rows: list[dict[str, float]]
+    completion_order: np.ndarray
+    samples: dict[str, np.ndarray]
+    runs: dict[str, np.ndarray]
+    block_size: np.ndarray
     temp_sum: np.ndarray
     power_sum: np.ndarray
     node_susceptibility: np.ndarray
@@ -111,28 +143,10 @@ class ShardResult:
     num_ticks: int
     stage_seconds: dict[str, float]
 
-
-def completion_order(
-    schedule: list[ScheduledRun], num_ticks: int, dt: float
-) -> list[int]:
-    """Run ids in the order the simulator completes them.
-
-    Completions happen tick by tick; within a tick, runs complete in
-    schedule order (the order their end tick was registered).  This is a
-    pure function of the schedule, which is how the merge step recovers
-    the serial block ordering without simulating anything.
-    """
-    ends_at: dict[int, list[int]] = defaultdict(list)
-    for run in schedule:
-        start_tick = int(math.ceil(run.start_minute / dt))
-        end_tick = int(math.floor(run.end_minute / dt))
-        if start_tick >= num_ticks or end_tick <= start_tick:
-            continue
-        ends_at[min(end_tick, num_ticks)].append(run.run_id)
-    order: list[int] = []
-    for tick in sorted(ends_at):
-        order.extend(ends_at[tick])
-    return order
+    @property
+    def run_ids(self) -> np.ndarray:
+        """Ids of the runs this shard completed, in completion order."""
+        return self.runs.get("run_id", np.empty(0, dtype=np.int64))
 
 
 class TraceSimulator:
@@ -247,7 +261,7 @@ class TraceSimulator:
         active: dict[int, _ActiveRun] = {}
         jobs: dict[int, _PendingJob] = {}
 
-        blocks: list[tuple[int, dict[str, np.ndarray]]] = []
+        blocks: list[dict[str, np.ndarray]] = []
         run_rows: list[dict[str, float]] = []
         recorded: dict[int, dict[str, list[float]]] = {
             int(node): defaultdict(list)
@@ -382,14 +396,17 @@ class TraceSimulator:
 
         if jobs:
             raise SimulationError(f"{len(jobs)} jobs never completed")
+        spans.switch("collate")
+        samples, runs, block_size = _collate(blocks, run_rows)
         spans.stop()
 
         return ShardResult(
             lo=lo,
             hi=hi,
-            completion_order=order,
-            blocks=blocks,
-            run_rows=run_rows,
+            completion_order=np.asarray(order, dtype=np.int64),
+            samples=samples,
+            runs=runs,
+            block_size=block_size,
             temp_sum=temp_sum,
             power_sum=power_sum,
             node_susceptibility=self._errors.node_susceptibility[lo:hi].copy(),
@@ -400,8 +417,7 @@ class TraceSimulator:
             app_names=list(self._catalog.names),
             num_ticks=num_ticks,
             stage_seconds={
-                "simulate": spans.get("simulate"),
-                "sample": spans.get("sample"),
+                stage: spans.get(stage) for stage in ("simulate", "sample", "collate")
             },
         )
 
@@ -410,7 +426,7 @@ class TraceSimulator:
         self,
         state: _ActiveRun,
         jobs: dict[int, _PendingJob],
-        blocks: list[tuple[int, dict[str, np.ndarray]]],
+        blocks: list[dict[str, np.ndarray]],
         run_rows: list[dict[str, float]],
         welford: dict[str, VectorWelford],
     ) -> None:
@@ -431,25 +447,13 @@ class TraceSimulator:
         )
         self._smi.record_errors(local, counts)
 
-        k = local.size
         k_full = run.node_ids.size
         max_mem_gb = state.memory_fraction * 6.0  # K20X has 6 GB per GPU
+        # Per-node columns only; run constants live in the run row.
         block: dict[str, np.ndarray] = {
-            "run_idx": np.full(k, run.run_id, dtype=np.int32),
-            "job_id": np.full(k, run.job_id, dtype=np.int32),
-            "app_id": np.full(k, run.app_id, dtype=np.int32),
-            "user_id": np.full(k, run.user_id, dtype=np.int32),
             "node_id": state.global_nodes.astype(np.int32),
-            "start_minute": np.full(k, run.start_minute),
-            "end_minute": np.full(k, run.end_minute),
-            "duration_minutes": np.full(k, run.duration_minutes),
-            "n_nodes": np.full(k, k_full, dtype=np.int32),
-            "gpu_core_hours": np.full(k, run.gpu_core_hours),
-            "gpu_util": np.full(k, state.gpu_utilization),
-            "max_mem_gb": np.full(k, max_mem_gb),
-            "agg_mem_gb": np.full(k, max_mem_gb * k_full),
             "prev_app_id": state.prev_app_ids.astype(np.int32),
-            "sbe_count": np.zeros(k, dtype=np.int64),  # resolved at job end
+            "sbe_count": np.zeros(local.size, dtype=np.int64),  # resolved at job end
         }
         for q in RUN_STAT_QUANTITIES:
             for j, suffix in enumerate(("mean", "std", "dmean", "dstd")):
@@ -461,7 +465,7 @@ class TraceSimulator:
                     block[f"pre{w}_{quantity}_{suffix}"] = state.pre_window_stats[:, col]
                     col += 1
 
-        blocks.append((run.run_id, block))
+        blocks.append(block)
         run_rows.append(
             {
                 "run_id": run.run_id,
@@ -500,11 +504,108 @@ class TraceSimulator:
 
 
 # ----------------------------------------------------------------------
-def _shard_sample_rows(result: ShardResult) -> int:
-    """Sample rows this shard produced (sum of its block lengths)."""
-    return sum(
-        len(next(iter(block.values()))) for _, block in result.blocks if block
-    )
+def _collate(
+    blocks: list[dict[str, np.ndarray]], run_rows: list[dict[str, float]]
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """A shard's per-run blocks and run rows as ``(samples, runs, block_size)``."""
+    block_size = np.asarray([block["node_id"].size for block in blocks], dtype=np.int64)
+    if not run_rows:
+        return {}, {}, block_size
+    runs = {name: np.asarray([row[name] for row in run_rows]) for name in run_rows[0]}
+    per_run = {
+        **runs,
+        "run_idx": runs["run_id"],
+        "duration_minutes": runs["end_minute"] - runs["start_minute"],
+    }
+    samples = {
+        name: (
+            np.concatenate([block[name] for block in blocks])
+            if dtype is None
+            else np.repeat(per_run[name].astype(dtype), block_size)
+        )
+        for name, dtype in _SAMPLE_COLUMNS
+    }
+    return samples, runs, block_size
+
+
+def _completion_positions(
+    order: np.ndarray, run_ids: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Each shard's run ids as indices into the completion order."""
+    sorter = np.argsort(order, kind="stable")
+    ordered = order[sorter]
+    positions = []
+    for ids in run_ids:
+        ids = np.asarray(ids, dtype=np.int64)
+        at = np.searchsorted(ordered, ids)
+        known = at < ordered.size
+        known[known] = ordered[at[known]] == ids[known]
+        if not known.all():
+            raise SimulationError(
+                f"run {int(ids[~known][0])} is not in the schedule's completion order"
+            )
+        positions.append(sorter[at])
+    return positions
+
+
+def row_destinations(
+    order, run_ids: list[np.ndarray], block_sizes: list[np.ndarray]
+) -> tuple[int, list[np.ndarray]]:
+    """Where every shard sample row lands in the serial trace.
+
+    The serial row order: runs in completion order ``order``, and within
+    a run the shards ascending, each shard's rows in its own (ascending
+    node id) order.  Shard ``s`` completed runs ``run_ids[s]`` holding
+    ``block_sizes[s]`` rows each.  Returns ``(total, dests)``, where
+    ``dests[s][i]`` is the serial row of shard ``s``'s ``i``-th row.
+    """
+    positions = _completion_positions(np.asarray(order, dtype=np.int64), run_ids)
+    sizes = [np.asarray(size, dtype=np.int64) for size in block_sizes]
+    counts = [size.size for size in sizes]
+    flat_size = np.concatenate(sizes)
+    shard = np.repeat(np.arange(len(sizes)), counts)
+    rank = np.lexsort((shard, np.concatenate(positions)))
+    starts = np.empty_like(flat_size)
+    starts[rank] = np.cumsum(flat_size[rank]) - flat_size[rank]
+    dests = []
+    for size, start in zip(sizes, np.split(starts, np.cumsum(counts)[:-1])):
+        # Each block's rows move from their local offset to the block's start.
+        shift = start - (np.cumsum(size) - size)
+        dests.append(np.repeat(shift, size) + np.arange(int(size.sum())))
+    return int(flat_size.sum()), dests
+
+
+def merge_runs(order, shard_runs: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Merge shard runs tables (shard-ascending) into the serial runs table.
+
+    Rows land in completion order ``order``.  Per-run values come from
+    the first shard holding the run, and every later one must agree on
+    its draws (``gpu_util``, ``n_nodes``); ``sbe_total`` is summed
+    shard-ascending, so float additions happen in one fixed order.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    tables = [runs for runs in shard_runs if runs]
+    if not tables:
+        if order.size:
+            raise SimulationError(f"run {int(order[0])} completed in no shard")
+        return {}
+    merged = {name: np.zeros(order.size, dtype=col.dtype) for name, col in tables[0].items()}
+    seen = np.zeros(order.size, dtype=bool)
+    positions = _completion_positions(order, [t["run_id"] for t in tables])
+    for runs, at in zip(tables, positions):
+        again = seen[at]
+        for name in ("gpu_util", "n_nodes"):
+            clash = merged[name][at[again]] != runs[name][again]
+            if clash.any():
+                run_id = int(runs["run_id"][again][clash][0])
+                raise SimulationError(f"shards disagree on run {run_id}'s per-run draws")
+        for name, column in runs.items():
+            merged[name][at[~again]] = column[~again]
+        merged["sbe_total"][at[again]] += runs["sbe_total"][again]
+        seen[at] = True
+    if not seen.all():
+        raise SimulationError(f"run {int(order[~seen][0])} completed in no shard")
+    return merged
 
 
 def _record_sim_metrics(
@@ -542,7 +643,7 @@ def _record_sim_metrics(
     )
     for result in results:
         span_label = f"{result.lo}:{result.hi}"
-        rows = _shard_sample_rows(result)
+        rows = int(result.block_size.sum())
         shard_rows.inc(rows, shard=span_label)
         seconds = sum(result.stage_seconds.values())
         if seconds > 0:
@@ -565,10 +666,11 @@ def merge_shard_results(
     """Deterministically merge shard outputs into one trace.
 
     Shards are sorted by node range (they must tile the machine without
-    gaps), per-run sample blocks are concatenated shard-ascending — which
-    restores ascending node id, the serial row order — and whole runs are
-    laid out in the schedule's completion order, which every shard
-    derived independently and must agree on.
+    gaps) and must agree on the schedule's completion order, which each
+    derived independently.  Runs merge through :func:`merge_runs` and
+    sample rows scatter to :func:`row_destinations` — the serial row
+    order the store's readers use too.  A single full-span shard already
+    holds its rows in serial order, so its columns are used as they are.
     """
     spans = SpanTracer()
     spans.start("collate")
@@ -590,57 +692,37 @@ def merge_shard_results(
         )
     order = results[0].completion_order
     for result in results[1:]:
-        if result.completion_order != order:
+        if not np.array_equal(result.completion_order, order):
             raise SimulationError(
                 "shards disagree on the schedule's completion order; "
                 "the workload scheduler is not deterministic"
             )
 
-    blocks_by_run: dict[int, list[dict[str, np.ndarray]]] = defaultdict(list)
-    rows_by_run: dict[int, list[dict[str, float]]] = defaultdict(list)
-    for result in results:
-        for run_id, block in result.blocks:
-            blocks_by_run[run_id].append(block)
-        for row in result.run_rows:
-            rows_by_run[int(row["run_id"])].append(row)
-
-    ordered_blocks: list[dict[str, np.ndarray]] = []
-    run_rows: list[dict[str, float]] = []
-    for run_id in order:
-        parts = blocks_by_run.get(run_id)
-        if not parts:
-            raise SimulationError(f"run {run_id} completed in no shard")
-        ordered_blocks.extend(parts)
-        rows = rows_by_run[run_id]
-        merged = dict(rows[0])
-        for other in rows[1:]:
-            if other["gpu_util"] != merged["gpu_util"] or (
-                other["n_nodes"] != merged["n_nodes"]
-            ):
-                raise SimulationError(
-                    f"shards disagree on run {run_id}'s per-run draws"
-                )
-            merged["sbe_total"] += other["sbe_total"]
-        run_rows.append(merged)
-
-    if not ordered_blocks:
+    runs = merge_runs(order, [r.runs for r in results])
+    if len(results) == 1:
+        samples = results[0].samples  # identity layout: used as is
+    else:
+        total, dests = row_destinations(
+            order, [r.run_ids for r in results], [r.block_size for r in results]
+        )
+        parts = [(r.samples, dest) for r, dest in zip(results, dests) if dest.size]
+        samples = {}
+        for name, first in parts[0][0].items() if parts else ():
+            column = np.empty(total, dtype=first.dtype)
+            for cols, dest in parts:
+                column[dest] = cols[name]
+            samples[name] = column
+    if not samples:
         raise SimulationError(
             "simulation produced no samples; increase duration or utilization"
         )
-    samples = {
-        name: np.concatenate([block[name] for block in ordered_blocks])
-        for name in ordered_blocks[0]
-    }
-    runs = {
-        name: np.asarray([row[name] for row in run_rows]) for name in run_rows[0]
-    }
     recorded: dict[int, dict[str, np.ndarray]] = {}
     for result in results:
         recorded.update(result.recorded)
     num_ticks = results[0].num_ticks
     stage_seconds = {
-        "simulate": sum(r.stage_seconds.get("simulate", 0.0) for r in results),
-        "sample": sum(r.stage_seconds.get("sample", 0.0) for r in results),
+        stage: sum(r.stage_seconds.get(stage, 0.0) for r in results)
+        for stage in ("simulate", "sample", "collate")
     }
     trace = Trace(
         config=config,
@@ -657,7 +739,7 @@ def merge_shard_results(
         recorded_series=recorded,
     )
     spans.stop()
-    stage_seconds["collate"] = spans.get("collate")
+    stage_seconds["collate"] += spans.get("collate")
     trace.meta["stage_seconds"] = stage_seconds
     trace.meta["shards"] = len(results)
     _record_sim_metrics(

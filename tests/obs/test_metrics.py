@@ -208,16 +208,3 @@ class TestSpanTracer:
         tracer.start("a")
         with pytest.raises(RuntimeError):
             tracer.start("b")
-
-    def test_merge_and_record_to(self):
-        child = SpanTracer(clock=lambda: 0.0)
-        child.add("simulate", 2.0)
-        parent = SpanTracer(clock=lambda: 0.0)
-        parent.add("simulate", 1.0)
-        parent.merge(child)
-        parent.merge({"collate": 0.5})
-        registry = MetricsRegistry()
-        parent.record_to(registry, component="sim", wall=False)
-        seconds = registry.counter("repro_span_seconds_total")
-        assert seconds.value(span="simulate", component="sim") == 3.0
-        assert seconds.value(span="collate", component="sim") == 0.5

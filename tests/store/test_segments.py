@@ -64,14 +64,6 @@ class TestRoundtrip:
         stacked = np.concatenate(dests)
         assert np.array_equal(np.sort(stacked), np.arange(total))
 
-    def test_iter_shard_results_covers_all_rows(self, store_copy):
-        seen = 0
-        for index, result in store_copy.iter_shard_results():
-            seen += sum(
-                next(iter(block.values())).shape[0] for _, block in result.blocks
-            )
-        assert seen == store_copy.num_samples
-
     def test_jobs_parallel_store_is_identical(
         self, store_config, serial_digest, tmp_path
     ):
