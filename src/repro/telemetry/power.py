@@ -57,7 +57,9 @@ class PowerModel:
         self._efficiency = np.exp(
             rng.normal(0.0, config.node_efficiency_sigma, size=machine_config.num_nodes)
         )[window]
-        self._noise = RowNoise(seeds, "power-noise", machine_config, span)
+        self._noise = RowNoise(
+            seeds, "power-noise", machine_config, span, config.noise_watts
+        )
 
     @property
     def efficiency(self) -> np.ndarray:
@@ -68,5 +70,4 @@ class PowerModel:
         """Instantaneous per-node watts for the given utilization vector."""
         cfg = self._config
         base = cfg.idle_watts + cfg.dynamic_watts * gpu_utilization
-        noise = self._noise.normal(cfg.noise_watts)
-        return np.maximum(base * self._efficiency + noise, 1.0)
+        return np.maximum(base * self._efficiency + self._noise.normal(), 1.0)

@@ -3,20 +3,27 @@
 One simulated tick = one out-of-band sampling interval.  Per tick the
 simulator
 
-1. completes apruns whose end time has passed: reads their online run
-   statistics, draws SBE counts, and (at batch-job completion) resolves
-   per-job nvidia-smi snapshot deltas into the sample rows of *all* the
-   job's apruns — the paper's conservative "SBEs occur in all apruns of
-   the job" attribution;
-2. starts due apruns: computes their 5/15/30/60-minute pre-execution
-   window statistics from the history rings and re-arms the online
-   statistics for their nodes;
-3. advances the power and thermal physics;
-4. feeds the new machine-wide snapshot to the online statistics, the
-   history rings, the cumulative aggregates, and any recorded node series.
+1. completes apruns whose end time has passed: reads all 20 online run
+   statistics with one gather into the run's sample rows, draws SBE
+   counts, and (at batch-job completion) resolves per-job nvidia-smi
+   snapshot deltas into the sample rows of *all* the job's apruns — the
+   paper's conservative "SBEs occur in all apruns of the job"
+   attribution;
+2. starts due apruns: re-arms the online statistics for their nodes and
+   queues their 5/15/30/60-minute pre-execution windows on the window
+   history, which resolves every queued window in one batched flush when
+   its buffer fills or the span ends;
+3. advances the power and thermal physics (noise pre-drawn in blocks);
+4. feeds the new machine-wide ``(5, nodes)`` snapshot to the fused online
+   statistics, the window history, the cumulative aggregates, and any
+   recorded node series.
 
-Everything per-node is a flat numpy array, so cost per tick is independent
-of how many runs are in flight.
+Everything per-node is a flat numpy array, so a tick costs a fixed few
+dozen numpy calls, independent of machine size and of how many runs are
+in flight.  Every run's sample rows are known from the schedule before
+the first tick (runs in completion order, nodes ascending), so the
+per-node columns are preallocated and each statistic is written straight
+to its row; collation only repeats the run-constant columns.
 
 **Sharding.**  The simulator can be restricted to a row-aligned
 :class:`~repro.topology.sharding.ShardSpan`: :meth:`TraceSimulator.run_span`
@@ -47,7 +54,7 @@ from repro.telemetry.config import TraceConfig
 from repro.telemetry.errors import SbeErrorModel
 from repro.telemetry.nvidia_smi import NvidiaSmiEmulator
 from repro.telemetry.power import PowerModel
-from repro.telemetry.sampler import RUN_STAT_QUANTITIES, HistoryRing, VectorWelford
+from repro.telemetry.sampler import RUN_STAT_QUANTITIES, VectorWelford, WindowHistory
 from repro.telemetry.scheduler import ScheduledRun, WorkloadScheduler
 from repro.telemetry.thermal import ThermalModel
 from repro.telemetry.trace import (
@@ -69,9 +76,25 @@ __all__ = [
     "row_destinations",
 ]
 
+#: Runs-table columns in storage order.
+_RUN_COLUMNS = (
+    "run_id",
+    "job_id",
+    "app_id",
+    "user_id",
+    "start_minute",
+    "end_minute",
+    "n_nodes",
+    "gpu_core_hours",
+    "gpu_util",
+    "max_mem_gb",
+    "agg_mem_gb",
+    "sbe_total",
+)
+
 #: Sample columns in storage order.  A run-constant column carries its
 #: sample dtype and repeats a runs-table value over the run's rows; a
-#: per-node column (``None``) comes from the run's block.
+#: per-node column (``None``) is filled row by row during the span.
 _SAMPLE_COLUMNS: tuple[tuple[str, type | None], ...] = (
     ("run_idx", np.int32),
     ("job_id", np.int32),
@@ -100,9 +123,7 @@ class _ActiveRun:
     global_nodes: np.ndarray  # global ids of the owned subset
     gpu_utilization: float
     memory_fraction: float
-    prev_app_ids: np.ndarray
-    pre_window_stats: np.ndarray  # (n_local, 8 * len(PRE_WINDOWS_MINUTES))
-    start_tick: int
+    row: int  # first of the run's sample rows
 
 
 @dataclass
@@ -110,10 +131,22 @@ class _PendingJob:
     """A batch job whose apruns have not all completed yet."""
 
     local_nodes: np.ndarray
-    global_nodes: np.ndarray
+    global_nodes: np.ndarray  # ascending
     runs_remaining: int
-    sample_blocks: list[dict[str, np.ndarray]] = field(default_factory=list)
-    run_indices: list[int] = field(default_factory=list)
+    #: Completed apruns with the index of their runs-table row.
+    done: list[tuple[_ActiveRun, int]] = field(default_factory=list)
+
+
+@dataclass
+class _SpanColumns:
+    """The span's per-node sample columns, filled row by row."""
+
+    node_id: np.ndarray
+    prev_app_id: np.ndarray
+    sbe_count: np.ndarray
+    #: ``(len(SAMPLE_TELEMETRY_COLUMNS), rows)``: the 20 run statistics,
+    #: then the 32 pre-window statistics.
+    telemetry: np.ndarray
 
 
 @dataclass
@@ -173,7 +206,11 @@ class TraceSimulator:
         )
         self._power = PowerModel(config.power, self._machine, self._seeds, self._span)
         self._thermal = ThermalModel(
-            config.thermal, self._machine, self._seeds, self._span
+            config.thermal,
+            self._machine,
+            self._seeds,
+            self._span,
+            tick_minutes=config.tick_minutes,
         )
         self._errors = SbeErrorModel(
             config.errors,
@@ -247,22 +284,47 @@ class TraceSimulator:
         for tick in sorted(ends_order):
             order.extend(ends_order[tick])
 
-        welford = {q: VectorWelford(n) for q in RUN_STAT_QUANTITIES}
-        ring_capacity = max(1, int(round(60.0 / dt)))
-        temp_ring = HistoryRing(n, ring_capacity)
-        power_ring = HistoryRing(n, ring_capacity)
+        # Sample rows in completion order (the order the tick loop below
+        # completes runs in): run ``r`` owns rows first_row[r] onward.
+        first_row: dict[int, int] = {}
+        block_size: list[int] = []
+        total_rows = 0
+        for tick in sorted(ends_at):
+            for run_id in ends_at[tick]:
+                first_row[run_id] = total_rows
+                block_size.append(local_subset[run_id][0].size)
+                total_rows += block_size[-1]
+        columns = _SpanColumns(
+            node_id=np.concatenate(
+                [local_subset[run_id][1] for run_id in first_row]
+                or [np.empty(0, dtype=np.int32)]
+            ).astype(np.int32),
+            prev_app_id=np.empty(total_rows, dtype=np.int32),
+            sbe_count=np.zeros(total_rows, dtype=np.int64),
+            telemetry=np.zeros((len(SAMPLE_TELEMETRY_COLUMNS), total_rows)),
+        )
+        welford = VectorWelford(n)
+        history = WindowHistory(
+            n,
+            capacity=max(1, int(round(60.0 / dt))),
+            window_ticks=tuple(
+                max(1, int(round(w / dt))) for w in PRE_WINDOWS_MINUTES
+            ),
+            out=columns.telemetry[4 * len(RUN_STAT_QUANTITIES) :],  # pre* rows
+        )
+        # One machine-wide snapshot per tick, rows in RUN_STAT_QUANTITIES
+        # order; rows 0-1 (GPU temp/power) also feed the history and sums.
+        snapshot = np.empty((len(RUN_STAT_QUANTITIES), n))
+        sums = np.zeros((2, n))
 
         gpu_util = np.zeros(n)
         cpu_util = np.full(n, 0.05)
         prev_app = np.full(n, -1, dtype=np.int32)
-        temp_sum = np.zeros(n)
-        power_sum = np.zeros(n)
 
         active: dict[int, _ActiveRun] = {}
         jobs: dict[int, _PendingJob] = {}
 
-        blocks: list[dict[str, np.ndarray]] = []
-        run_rows: list[dict[str, float]] = []
+        run_rows: list[list] = []
         recorded: dict[int, dict[str, list[float]]] = {
             int(node): defaultdict(list)
             for node in cfg.record_nodes
@@ -281,7 +343,7 @@ class TraceSimulator:
                 state = active.pop(run_id, None)
                 if state is None:
                     raise SimulationError(f"run {run_id} ended but was never active")
-                self._complete_run(state, jobs, blocks, run_rows, welford)
+                self._complete_run(state, jobs, run_rows, welford, columns)
             if tick == num_ticks:
                 break
 
@@ -300,39 +362,25 @@ class TraceSimulator:
                     base_mem = base_mem * self._scenario.memory_factor(
                         run.start_minute
                     )
-                util = float(
-                    np.clip(base_util * run_rng.lognormal(0.0, 0.12), 0.03, 1.0)
-                )
-                mem = float(
-                    np.clip(base_mem * run_rng.lognormal(0.0, 0.18), 0.02, 1.0)
-                )
+                # min(max()) is np.clip on a scalar, without the array call.
+                util = base_util * run_rng.lognormal(0.0, 0.12)
+                util = float(min(max(util, 0.03), 1.0))
+                mem = base_mem * run_rng.lognormal(0.0, 0.18)
+                mem = float(min(max(mem, 0.02), 1.0))
                 local, global_ids = local_subset[run.run_id]
-                pre_stats = np.hstack(
-                    [
-                        np.hstack(
-                            [
-                                temp_ring.window_stats(
-                                    local, max(1, int(round(w / dt)))
-                                ),
-                                power_ring.window_stats(
-                                    local, max(1, int(round(w / dt)))
-                                ),
-                            ]
-                        )
-                        for w in PRE_WINDOWS_MINUTES
-                    ]
-                )
                 state = _ActiveRun(
                     run=run,
                     local_nodes=local,
                     global_nodes=global_ids,
                     gpu_utilization=util,
                     memory_fraction=mem,
-                    prev_app_ids=prev_app[local].copy(),
-                    pre_window_stats=pre_stats,
-                    start_tick=tick,
+                    row=first_row[run.run_id],
                 )
                 active[run.run_id] = state
+                columns.prev_app_id[state.row : state.row + local.size] = (
+                    prev_app[local]
+                )
+                history.queue(state.row, local)
                 job = jobs.get(run.job_id)
                 if job is None:
                     jobs[run.job_id] = _PendingJob(
@@ -344,8 +392,7 @@ class TraceSimulator:
                 gpu_util[local] = util
                 cpu_util[local] = app.cpu_utilization
                 prev_app[local] = run.app_id
-                for q in RUN_STAT_QUANTITIES:
-                    welford[q].reset(local)
+                welford.reset(local)
 
             # --- 3. physics --------------------------------------------
             watts = self._power.sample(gpu_util)
@@ -353,51 +400,51 @@ class TraceSimulator:
                 self._thermal.extra_offset = self._scenario.ambient_offset(
                     minute, lo, hi
                 )
-            self._thermal.step(watts, cpu_util, dt)
-            gpu_temp = self._thermal.gpu_temp
-            cpu_temp = self._thermal.cpu_temp
+            self._thermal.step(watts, cpu_util)
 
             # --- 4. sampling -------------------------------------------
             spans.switch("sample")
+            snapshot[0] = self._thermal.gpu_temp
+            snapshot[1] = watts
+            snapshot[2] = self._thermal.cpu_temp
+            gpu_pair = snapshot[:2]
             if nodes_per_slot > 1:
-                slot_sum_t = gpu_temp.reshape(-1, nodes_per_slot).sum(axis=1)
-                slot_sum_p = watts.reshape(-1, nodes_per_slot).sum(axis=1)
-                nei_temp = (np.repeat(slot_sum_t, nodes_per_slot) - gpu_temp) / (
-                    nodes_per_slot - 1
+                # Slot neighbours: (slot sum - own value) / (others in slot).
+                slot_sums = gpu_pair.reshape(2, -1, nodes_per_slot).sum(axis=2)
+                np.subtract(
+                    np.repeat(slot_sums, nodes_per_slot, axis=1),
+                    gpu_pair,
+                    out=snapshot[3:],
                 )
-                nei_power = (np.repeat(slot_sum_p, nodes_per_slot) - watts) / (
-                    nodes_per_slot - 1
-                )
+                snapshot[3:] /= nodes_per_slot - 1
             else:
-                nei_temp = gpu_temp
-                nei_power = watts
-            welford["gpu_temp"].update(gpu_temp)
-            welford["gpu_power"].update(watts)
-            welford["cpu_temp"].update(cpu_temp)
-            welford["nei_temp"].update(nei_temp)
-            welford["nei_power"].update(nei_power)
-            temp_ring.push(gpu_temp)
-            power_ring.push(watts)
-            temp_sum += gpu_temp
-            power_sum += watts
+                snapshot[3:] = gpu_pair
+            welford.update(snapshot)
+            history.push(gpu_pair)
+            sums += gpu_pair
 
             for node, series in recorded.items():
                 local_node = node - lo
+                gpu_temp, gpu_power, cpu_temp, nei_temp, nei_power = snapshot[
+                    :, local_node
+                ].tolist()
                 series["minute"].append(minute)
-                series["gpu_temp"].append(float(gpu_temp[local_node]))
-                series["gpu_power"].append(float(watts[local_node]))
-                series["cpu_temp"].append(float(cpu_temp[local_node]))
-                series["slot_avg_temp"].append(float(nei_temp[local_node]))
-                series["slot_avg_power"].append(float(nei_power[local_node]))
+                series["gpu_temp"].append(gpu_temp)
+                series["gpu_power"].append(gpu_power)
+                series["cpu_temp"].append(cpu_temp)
+                series["slot_avg_temp"].append(nei_temp)
+                series["slot_avg_power"].append(nei_power)
                 cage_lo = (node // per_cage) * per_cage - lo
                 cage_slice = slice(cage_lo, cage_lo + per_cage)
-                series["cage_avg_temp"].append(float(gpu_temp[cage_slice].mean()))
+                cage_sum = np.add.reduce(snapshot[0, cage_slice])  # .mean()'s sum
+                series["cage_avg_temp"].append(float(cage_sum / per_cage))
             spans.switch("simulate")
 
         if jobs:
             raise SimulationError(f"{len(jobs)} jobs never completed")
+        history.flush()
         spans.switch("collate")
-        samples, runs, block_size = _collate(blocks, run_rows)
+        samples, runs = _collate(run_rows, columns, block_size)
         spans.stop()
 
         return ShardResult(
@@ -406,9 +453,9 @@ class TraceSimulator:
             completion_order=np.asarray(order, dtype=np.int64),
             samples=samples,
             runs=runs,
-            block_size=block_size,
-            temp_sum=temp_sum,
-            power_sum=power_sum,
+            block_size=np.asarray(block_size, dtype=np.int64),
+            temp_sum=sums[0],
+            power_sum=sums[1],
             node_susceptibility=self._errors.node_susceptibility[lo:hi].copy(),
             recorded={
                 node: {name: np.asarray(vals) for name, vals in cols.items()}
@@ -426,14 +473,16 @@ class TraceSimulator:
         self,
         state: _ActiveRun,
         jobs: dict[int, _PendingJob],
-        blocks: list[dict[str, np.ndarray]],
-        run_rows: list[dict[str, float]],
-        welford: dict[str, VectorWelford],
+        run_rows: list[list],
+        welford: VectorWelford,
+        columns: _SpanColumns,
     ) -> None:
         run = state.run
         local = state.local_nodes
+        rows = slice(state.row, state.row + local.size)
         app = self._catalog[run.app_id]
-        stats = {q: welford[q].stats(local) for q in RUN_STAT_QUANTITIES}
+        stats = welford.stats(local)
+        columns.telemetry[: stats.shape[0], rows] = stats
 
         counts = self._errors.sample_counts(
             run.run_id,
@@ -441,91 +490,89 @@ class TraceSimulator:
             app.susceptibility,
             run.start_minute,
             run.duration_minutes,
-            stats["gpu_temp"][:, 0],
-            stats["gpu_power"][:, 0],
+            stats[0],  # gpu_temp mean
+            stats[4],  # gpu_power mean
             state.memory_fraction,
         )
         self._smi.record_errors(local, counts)
 
         k_full = run.node_ids.size
         max_mem_gb = state.memory_fraction * 6.0  # K20X has 6 GB per GPU
-        # Per-node columns only; run constants live in the run row.
-        block: dict[str, np.ndarray] = {
-            "node_id": state.global_nodes.astype(np.int32),
-            "prev_app_id": state.prev_app_ids.astype(np.int32),
-            "sbe_count": np.zeros(local.size, dtype=np.int64),  # resolved at job end
-        }
-        for q in RUN_STAT_QUANTITIES:
-            for j, suffix in enumerate(("mean", "std", "dmean", "dstd")):
-                block[f"{q}_{suffix}"] = stats[q][:, j]
-        col = 0
-        for w in PRE_WINDOWS_MINUTES:
-            for quantity in ("temp", "power"):
-                for suffix in ("mean", "std", "dmean", "dstd"):
-                    block[f"pre{w}_{quantity}_{suffix}"] = state.pre_window_stats[:, col]
-                    col += 1
-
-        blocks.append(block)
+        # One row per run in _RUN_COLUMNS order; sbe_total (the local
+        # contribution) is resolved at job end.
         run_rows.append(
-            {
-                "run_id": run.run_id,
-                "job_id": run.job_id,
-                "app_id": run.app_id,
-                "user_id": run.user_id,
-                "start_minute": run.start_minute,
-                "end_minute": run.end_minute,
-                "n_nodes": k_full,
-                "gpu_core_hours": run.gpu_core_hours,
-                "gpu_util": state.gpu_utilization,
-                "max_mem_gb": max_mem_gb,
-                "agg_mem_gb": max_mem_gb * k_full,
-                "sbe_total": 0.0,  # resolved at job end (local contribution)
-            }
+            [
+                run.run_id,
+                run.job_id,
+                run.app_id,
+                run.user_id,
+                run.start_minute,
+                run.end_minute,
+                k_full,
+                run.gpu_core_hours,
+                state.gpu_utilization,
+                max_mem_gb,
+                max_mem_gb * k_full,
+                0.0,
+            ]
         )
 
         job = jobs[run.job_id]
-        job.sample_blocks.append(block)
-        job.run_indices.append(len(run_rows) - 1)
+        job.done.append((state, len(run_rows) - 1))
         job.runs_remaining -= 1
         if job.runs_remaining == 0:
             deltas = self._smi.snapshot_after(run.job_id, job.local_nodes)
-            per_node = {
-                int(node): int(delta)
-                for node, delta in zip(job.global_nodes, deltas)
-            }
-            for job_block in job.sample_blocks:
-                job_block["sbe_count"] = np.asarray(
-                    [per_node[int(node)] for node in job_block["node_id"]],
-                    dtype=np.int64,
-                )
-            for row_idx in job.run_indices:
-                run_rows[row_idx]["sbe_total"] = float(deltas.sum())
+            # Each aprun's rows take its nodes' whole-job deltas.
+            nodes = np.concatenate([done.global_nodes for done, _ in job.done])
+            at = np.searchsorted(job.global_nodes, nodes)
+            # (``at`` wraps past the end, so a foreign node fails the check.)
+            if not np.array_equal(job.global_nodes[at % job.global_nodes.size], nodes):
+                raise SimulationError(f"job {run.job_id} ran an aprun off its nodes")
+            rows = np.concatenate(
+                [
+                    np.arange(done.row, done.row + done.global_nodes.size)
+                    for done, _ in job.done
+                ]
+            )
+            columns.sbe_count[rows] = deltas[at]
+            sbe_total = float(deltas.sum())
+            for _, run_row in job.done:
+                run_rows[run_row][-1] = sbe_total
             del jobs[run.job_id]
 
 
 # ----------------------------------------------------------------------
 def _collate(
-    blocks: list[dict[str, np.ndarray]], run_rows: list[dict[str, float]]
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """A shard's per-run blocks and run rows as ``(samples, runs, block_size)``."""
-    block_size = np.asarray([block["node_id"].size for block in blocks], dtype=np.int64)
+    run_rows: list[list], columns: _SpanColumns, block_size: list[int]
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """A shard's run rows and per-node columns as ``(samples, runs)``.
+
+    The telemetry columns are row views of the one preallocated table,
+    so no per-node column is copied.
+    """
     if not run_rows:
-        return {}, {}, block_size
-    runs = {name: np.asarray([row[name] for row in run_rows]) for name in run_rows[0]}
+        return {}, {}
+    runs = {name: np.asarray(col) for name, col in zip(_RUN_COLUMNS, zip(*run_rows))}
     per_run = {
         **runs,
         "run_idx": runs["run_id"],
         "duration_minutes": runs["end_minute"] - runs["start_minute"],
     }
+    per_node = {
+        "node_id": columns.node_id,
+        "prev_app_id": columns.prev_app_id,
+        "sbe_count": columns.sbe_count,
+        **dict(zip(SAMPLE_TELEMETRY_COLUMNS, columns.telemetry)),
+    }
     samples = {
         name: (
-            np.concatenate([block[name] for block in blocks])
+            per_node[name]
             if dtype is None
             else np.repeat(per_run[name].astype(dtype), block_size)
         )
         for name, dtype in _SAMPLE_COLUMNS
     }
-    return samples, runs, block_size
+    return samples, runs
 
 
 def _completion_positions(

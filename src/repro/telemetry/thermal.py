@@ -16,8 +16,10 @@ slot.
 The model can be restricted to a :class:`~repro.topology.sharding.ShardSpan`
 for sharded simulation: static offsets are drawn for the whole machine and
 sliced (so every shard sees the same values), per-tick noise comes from
-per-row streams (:class:`~repro.telemetry.noise.RowNoise`), and the slot
-coupling needs no halo because spans are slot-aligned.
+per-row streams (:class:`~repro.telemetry.noise.RowNoise`, drawn a block
+of ticks at a time), and the slot coupling needs no halo because spans
+are slot-aligned.  The model advances by one fixed tick per step, so its
+relaxation factors, coupling and noise scale are computed once.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class ThermalModel:
         machine: Machine,
         seeds: SeedSequenceFactory,
         span: ShardSpan | None = None,
+        *,
+        tick_minutes: float,
     ) -> None:
         self._config = config
         self._machine = machine
@@ -74,10 +78,27 @@ class ThermalModel:
         self._node_offset = rng.normal(
             0.0, config.node_offset_sigma, machine.num_nodes
         )[window]
-        self._noise = RowNoise(seeds, "thermal-noise", machine.config, self._span)
-        ambient = config.ambient_celsius + self._cabinet_offset + self._node_offset
-        self.gpu_temp = ambient.copy()
-        self.cpu_temp = ambient.copy()
+        # GPU and CPU noise alternate on one stream, GPU first each tick.
+        self._noise = RowNoise(
+            seeds,
+            "thermal-noise",
+            machine.config,
+            self._span,
+            config.noise_celsius * np.sqrt(tick_minutes),
+        )
+        # Tick constants: the model advances by ``tick_minutes`` per step.
+        # First-order relaxation, exact for the step size (exp integrator),
+        # so large sampler ticks stay stable.
+        self._alpha = 1.0 - np.exp(-tick_minutes / config.time_constant_minutes)
+        self._cpu_alpha = 1.0 - np.exp(
+            -tick_minutes / config.cpu_time_constant_minutes
+        )
+        self._coupling = min(1.0, config.neighbor_coupling * tick_minutes)
+        self._ambient = (
+            config.ambient_celsius + self._cabinet_offset + self._node_offset
+        )
+        self.gpu_temp = self._ambient.copy()
+        self.cpu_temp = self._ambient.copy()
         #: Scenario hook: extra ambient degrees (scalar or per-node array
         #: over the span) added to both GPU and CPU steady-state targets.
         #: ``None`` keeps the step math byte-identical to the pre-scenario
@@ -93,49 +114,29 @@ class ThermalModel:
 
     def steady_state(self, power_watts: np.ndarray) -> np.ndarray:
         """Equilibrium GPU temperature for a constant power draw."""
-        cfg = self._config
-        return (
-            cfg.ambient_celsius
-            + self._cabinet_offset
-            + self._node_offset
-            + cfg.degrees_per_watt * power_watts
-        )
+        return self._ambient + self._config.degrees_per_watt * power_watts
 
     def _slot_means(self, values: np.ndarray) -> np.ndarray:
         """Per-node slot mean over the span (spans are slot-aligned)."""
         nodes_per_slot = self._machine.config.nodes_per_slot
-        per_slot = values.reshape(-1, nodes_per_slot)
-        return np.repeat(per_slot.mean(axis=1), nodes_per_slot)
+        # add.reduce then divide is ndarray.mean's arithmetic, minus its
+        # Python wrapper.
+        slot_sums = np.add.reduce(values.reshape(-1, nodes_per_slot), axis=1)
+        return np.repeat(slot_sums / nodes_per_slot, nodes_per_slot)
 
-    def step(
-        self,
-        power_watts: np.ndarray,
-        cpu_utilization: np.ndarray,
-        dt_minutes: float,
-    ) -> None:
-        """Advance both temperature fields by ``dt_minutes``."""
-        cfg = self._config
+    def step(self, power_watts: np.ndarray, cpu_utilization: np.ndarray) -> None:
+        """Advance both temperature fields by one tick."""
         target = self.steady_state(power_watts)
         if self.extra_offset is not None:
             target = target + self.extra_offset
-        # First-order relaxation, exact for the step size (exp integrator),
-        # so large sampler ticks stay stable.
-        alpha = 1.0 - np.exp(-dt_minutes / cfg.time_constant_minutes)
-        self.gpu_temp += alpha * (target - self.gpu_temp)
+        self.gpu_temp += self._alpha * (target - self.gpu_temp)
         # Exchange with slot neighbours.
         slot_mean = self._slot_means(self.gpu_temp)
-        coupling = min(1.0, cfg.neighbor_coupling * dt_minutes)
-        self.gpu_temp += coupling * (slot_mean - self.gpu_temp)
-        self.gpu_temp += self._noise.normal(cfg.noise_celsius * np.sqrt(dt_minutes))
+        self.gpu_temp += self._coupling * (slot_mean - self.gpu_temp)
+        self.gpu_temp += self._noise.normal()
 
-        cpu_target = (
-            cfg.ambient_celsius
-            + self._cabinet_offset
-            + self._node_offset
-            + cfg.cpu_degrees_per_util * cpu_utilization
-        )
+        cpu_target = self._ambient + self._config.cpu_degrees_per_util * cpu_utilization
         if self.extra_offset is not None:
             cpu_target = cpu_target + self.extra_offset
-        cpu_alpha = 1.0 - np.exp(-dt_minutes / cfg.cpu_time_constant_minutes)
-        self.cpu_temp += cpu_alpha * (cpu_target - self.cpu_temp)
-        self.cpu_temp += self._noise.normal(cfg.noise_celsius * np.sqrt(dt_minutes))
+        self.cpu_temp += self._cpu_alpha * (cpu_target - self.cpu_temp)
+        self.cpu_temp += self._noise.normal()

@@ -10,12 +10,15 @@ single root seed, so adding a new consumer never perturbs existing ones.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["SeedSequenceFactory", "child_rng"]
 
 
+# Memoised: per-run and per-(run, node) streams re-use a handful of names.
+@lru_cache(maxsize=None)
 def _name_to_entropy(name: str) -> int:
     """Map a stream name to a stable 64-bit integer."""
     digest = hashlib.sha256(name.encode("utf-8")).digest()

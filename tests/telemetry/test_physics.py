@@ -53,47 +53,52 @@ class TestCoolingPattern:
 class TestThermalModel:
     def test_relaxes_to_steady_state(self, machine):
         cfg = ThermalConfig(noise_celsius=0.0, neighbor_coupling=0.0)
-        model = ThermalModel(cfg, machine, SeedSequenceFactory(0))
+        model = ThermalModel(cfg, machine, SeedSequenceFactory(0), tick_minutes=5.0)
         power = np.full(machine.num_nodes, 100.0)
         for _ in range(200):
-            model.step(power, np.zeros(machine.num_nodes), 5.0)
+            model.step(power, np.zeros(machine.num_nodes))
         expected = model.steady_state(power)
         assert np.allclose(model.gpu_temp, expected, atol=0.5)
 
     def test_power_raises_temperature(self, machine):
         cfg = ThermalConfig(noise_celsius=0.0)
-        model = ThermalModel(cfg, machine, SeedSequenceFactory(0))
+        model = ThermalModel(cfg, machine, SeedSequenceFactory(0), tick_minutes=5.0)
         hot = np.zeros(machine.num_nodes)
         hot[:4] = 200.0
         for _ in range(50):
-            model.step(hot, np.zeros(machine.num_nodes), 5.0)
+            model.step(hot, np.zeros(machine.num_nodes))
         assert model.gpu_temp[:4].mean() > model.gpu_temp[8:].mean() + 10
 
     def test_neighbor_coupling_spreads_heat(self, machine):
         cfg = ThermalConfig(noise_celsius=0.0, neighbor_coupling=0.2)
-        coupled = ThermalModel(cfg, machine, SeedSequenceFactory(0))
+        coupled = ThermalModel(
+            cfg, machine, SeedSequenceFactory(0), tick_minutes=5.0
+        )
         uncoupled = ThermalModel(
             ThermalConfig(noise_celsius=0.0, neighbor_coupling=0.0),
             machine,
             SeedSequenceFactory(0),
+            tick_minutes=5.0,
         )
         power = np.zeros(machine.num_nodes)
         power[0] = 200.0  # one hot node in slot 0
         for _ in range(30):
-            coupled.step(power, np.zeros(machine.num_nodes), 5.0)
-            uncoupled.step(power, np.zeros(machine.num_nodes), 5.0)
+            coupled.step(power, np.zeros(machine.num_nodes))
+            uncoupled.step(power, np.zeros(machine.num_nodes))
         # Node 1 shares node 0's slot and should be warmer with coupling.
         assert coupled.gpu_temp[1] > uncoupled.gpu_temp[1] + 1.0
 
     def test_cpu_temperature_follows_cpu_util(self, machine):
         cfg = ThermalConfig(noise_celsius=0.0)
-        model = ThermalModel(cfg, machine, SeedSequenceFactory(0))
+        model = ThermalModel(cfg, machine, SeedSequenceFactory(0), tick_minutes=5.0)
         cpu = np.zeros(machine.num_nodes)
         cpu[:4] = 1.0
         for _ in range(50):
-            model.step(np.zeros(machine.num_nodes), cpu, 5.0)
+            model.step(np.zeros(machine.num_nodes), cpu)
         assert model.cpu_temp[:4].mean() > model.cpu_temp[8:].mean() + 10
 
     def test_cabinet_offsets_follow_pattern(self, machine):
-        model = ThermalModel(ThermalConfig(), machine, SeedSequenceFactory(0))
+        model = ThermalModel(
+            ThermalConfig(), machine, SeedSequenceFactory(0), tick_minutes=5.0
+        )
         assert model.cabinet_offset.shape == (machine.num_nodes,)

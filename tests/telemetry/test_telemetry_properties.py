@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.telemetry.config import ErrorModelConfig
 from repro.telemetry.errors import SbeErrorModel
-from repro.telemetry.sampler import HistoryRing, VectorWelford
+from repro.telemetry.noise import NOISE_BLOCK, RowNoise
+from repro.telemetry.sampler import VectorWelford, WindowHistory
 from repro.topology.machine import Machine, MachineConfig
+from repro.topology.sharding import plan_shards
 from repro.utils.rng import SeedSequenceFactory
 
 
@@ -25,10 +27,10 @@ class TestWelfordProperties:
         series = np.asarray(ticks)  # (t, 3 nodes)
         wf = VectorWelford(3)
         for row in series:
-            wf.update(row)
+            wf.update(np.tile(row, (5, 1)))
         stats = wf.stats(np.arange(3))
-        assert np.allclose(stats[:, 0], series.mean(axis=0), atol=1e-8)
-        assert np.allclose(stats[:, 1], series.std(axis=0), atol=1e-6)
+        assert np.allclose(stats[0], series.mean(axis=0), atol=1e-8)
+        assert np.allclose(stats[1], series.std(axis=0), atol=1e-6)
 
     @given(st.integers(1, 20), st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -36,26 +38,85 @@ class TestWelfordProperties:
         rng = np.random.default_rng(seed)
         wf = VectorWelford(2)
         for _ in range(n_ticks):
-            wf.update(rng.normal(size=2))
+            wf.update(rng.normal(size=(5, 2)))
         wf.reset(np.array([0, 1]))
-        value = rng.normal(size=2)
+        value = rng.normal(size=(5, 2))
         wf.update(value)
         stats = wf.stats(np.arange(2))
-        assert np.allclose(stats[:, 0], value)
-        assert np.allclose(stats[:, 1], 0.0)
+        assert np.allclose(stats[0::4], value)
+        assert np.allclose(stats[1::4], 0.0)
 
 
 class TestHistoryRingProperties:
     @given(st.integers(1, 8), st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_window_mean_matches_suffix(self, capacity, values):
-        ring = HistoryRing(1, capacity)
-        for v in values:
-            ring.push(np.array([v]))
+        out = np.zeros((8, 1))
         k = min(capacity, len(values))
-        stats = ring.window_stats(np.array([0]), k)
+        history = WindowHistory(1, capacity, (k,), out)
+        for v in values:
+            history.push(np.array([[v], [v]]))
+        history.queue(0, np.array([0]))
+        history.flush()
         suffix = np.asarray(values[-k:])
-        assert stats[0, 0] == pytest.approx(suffix.mean(), abs=1e-9)
+        assert out[0, 0] == pytest.approx(suffix.mean(), abs=1e-9)
+
+
+_NOISE_MACHINE = MachineConfig(
+    grid_x=2, grid_y=4, cages_per_cabinet=1, slots_per_cage=1, nodes_per_slot=3
+)
+
+
+def per_call_noise(seeds, rows, row_nodes, scale, calls):
+    """The one-call-per-tick draw: each row stream, ``calls`` times."""
+    rngs = [seeds.generator("noise", row) for row in rows]
+    return np.stack(
+        [
+            np.concatenate([rng.normal(0.0, scale, row_nodes) for rng in rngs])
+            for _ in range(calls)
+        ]
+    )
+
+
+class TestRowNoiseProperties:
+    """Block-drawn row noise == one ``rng.normal`` per row per call."""
+
+    @given(st.integers(1, 3 * NOISE_BLOCK + 5), st.floats(0.0, 5.0))
+    @settings(max_examples=15, deadline=None)
+    def test_one_row_matches_per_call_draws(self, calls, scale):
+        config = MachineConfig(
+            grid_x=2, grid_y=1, cages_per_cabinet=1, slots_per_cage=1, nodes_per_slot=3
+        )
+        noise = RowNoise(SeedSequenceFactory(5), "noise", config, None, scale)
+        drawn = np.stack([noise.normal() for _ in range(calls)])
+        expected = per_call_noise(SeedSequenceFactory(5), [0], 6, scale, calls)
+        assert np.array_equal(drawn, expected)
+
+    @given(st.integers(1, 3 * NOISE_BLOCK + 5))
+    @settings(max_examples=10, deadline=None)
+    def test_several_rows_match_per_call_draws(self, calls):
+        noise = RowNoise(SeedSequenceFactory(9), "noise", _NOISE_MACHINE, None, 0.7)
+        drawn = np.stack([noise.normal() for _ in range(calls)])
+        expected = per_call_noise(SeedSequenceFactory(9), range(4), 6, 0.7, calls)
+        assert np.array_equal(drawn, expected)
+
+    @given(st.integers(1, 2 * NOISE_BLOCK + 3))
+    @settings(max_examples=10, deadline=None)
+    def test_sub_span_matches_its_slice_of_the_full_span(self, calls):
+        full = RowNoise(SeedSequenceFactory(2), "noise", _NOISE_MACHINE, None, 1.5)
+        full_draws = np.stack([full.normal() for _ in range(calls)])
+        for span in plan_shards(_NOISE_MACHINE, 3):
+            noise = RowNoise(SeedSequenceFactory(2), "noise", _NOISE_MACHINE, span, 1.5)
+            drawn = np.stack([noise.normal() for _ in range(calls)])
+            assert np.array_equal(drawn, full_draws[:, span.lo : span.hi])
+
+    def test_rows_handed_out_stay_valid_across_blocks(self):
+        noise = RowNoise(SeedSequenceFactory(1), "noise", _NOISE_MACHINE, None, 1.0)
+        first = noise.normal()
+        kept = first.copy()
+        for _ in range(2 * NOISE_BLOCK):
+            noise.normal()
+        assert np.array_equal(first, kept)
 
 
 _MODEL = SbeErrorModel(

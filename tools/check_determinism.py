@@ -18,8 +18,10 @@ uninterrupted chaos run; a drift-governed replay with periodic retrain
 is killed and resumed the same way, covering the pickled replay
 controller mid-run.  On the ``tiny`` preset the clean, chaos,
 gateway-parity and drift-retrain digests must also equal the values
-pinned in ``tests/golden/serving_digests.json``, so a change that moves
-both runs of a leg the same way still fails.  A final leg exercises the durable segmented
+pinned in ``tests/golden/serving_digests.json``, and the serial trace
+and its ``regime-change`` trace the values pinned in
+``tests/golden/trace_digests.json``, so a change that moves both runs of
+a leg the same way still fails.  A final leg exercises the durable segmented
 store: a 4-segment out-of-core write must stream back the serial bits,
 a simulation killed after one committed segment must resume from its
 journal to the same digest, and every disk-fault kind (torn write, bit
@@ -42,15 +44,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
-import hashlib
 import json
 import shutil
 import sys
 import tempfile
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from repro.experiments.presets import PRESETS, preset_config, split_plan
 from repro.scenarios import Scenario, scenario_preset
@@ -81,17 +80,19 @@ from repro.utils.errors import DegradedDataWarning, SimulatedCrashError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))
-from tests.golden.canonical import features_digest  # noqa: E402
+from tests.golden.canonical import features_digest, trace_digest  # noqa: E402
 
 #: Serving digests pinned for the ``tiny`` preset.
 SERVING_PINS = REPO_ROOT / "tests/golden/serving_digests.json"
+#: Serial trace digests pinned for the ``tiny`` preset (and others).
+TRACE_PINS = REPO_ROOT / "tests/golden/trace_digests.json"
 
 
-def pin_failures(preset: str, name: str, digest: str) -> int:
-    """Compare ``digest`` to its pin (``tiny`` only); 1 on mismatch."""
+def pin_failures(preset: str, name: str, digest: str, pins: Path = SERVING_PINS) -> int:
+    """Compare ``digest`` to its pin in ``pins`` (``tiny`` only); 1 on mismatch."""
     if preset != "tiny":
         return 0
-    pinned = json.loads(SERVING_PINS.read_text())[name]
+    pinned = json.loads(pins.read_text())[name]
     if digest == pinned:
         print(f"  {name} matches its pin ({pinned[:16]}...)")
         return 0
@@ -140,21 +141,6 @@ def feature_digests(trace: Trace, store: SegmentedTraceStore) -> dict[str, str]:
     }
 
 
-def trace_digest(trace: Trace) -> str:
-    """Stable content hash over every array in the trace."""
-    hasher = hashlib.sha256()
-    for name in sorted(trace.samples):
-        hasher.update(name.encode())
-        hasher.update(np.ascontiguousarray(trace.samples[name]).tobytes())
-    for name in sorted(trace.runs):
-        hasher.update(name.encode())
-        hasher.update(np.ascontiguousarray(trace.runs[name]).tobytes())
-    hasher.update(np.ascontiguousarray(trace.node_mean_temp).tobytes())
-    hasher.update(np.ascontiguousarray(trace.node_mean_power).tobytes())
-    hasher.update(np.ascontiguousarray(trace.node_susceptibility).tobytes())
-    return hasher.hexdigest()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", default="tiny", choices=sorted(PRESETS))
@@ -173,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"  TRACE MISMATCH: {digest_a[:16]} != {digest_b[:16]}")
         failures += 1
+    failures += pin_failures(args.preset, "tiny", digest_a, TRACE_PINS)
 
     print("simulating sharded (2 shards, --jobs 2) twice ...", flush=True)
     sharded_digests = [
@@ -229,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
             f"  scenario sharding ok ('regime-change' 2-shard == serial, "
             f"{scenario_serial[:16]}...)"
         )
+    failures += pin_failures(
+        args.preset, "tiny_regime_change", scenario_serial, TRACE_PINS
+    )
 
     print(
         f"injecting faults (intensity={args.intensity}, "
