@@ -16,9 +16,10 @@ gate:
 * **row-fusion leg** — :func:`~repro.serve.engine.rows_to_matrix`
   batch assembly throughput;
 * **fit leg** — boosting rounds of :class:`~repro.ml.tree.GradHessTree`
-  on the binned training set, with the legacy per-feature split-search
-  loop against the flat histogram pass (its ``rows_per_sec`` counts
-  training rows times trees grown).
+  on the binned training set, with the legacy recursive grower and its
+  per-feature split-search loop against the flat histogram pass on one
+  split context per fit (its ``rows_per_sec`` counts training rows times
+  trees grown).
 
 Every leg runs identical inputs on both paths and asserts bit-equal
 outputs (scores, or grown trees) before timing — a benchmark that
@@ -69,35 +70,58 @@ def _pertree_raw(gb, binned: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _per_feature_best_split(self, binned, indices, g, h, g_sum, h_sum):
-    """The legacy split search: one histogram pass per feature."""
-    lam = self.reg_lambda
-    parent_score = g_sum**2 / (h_sum + lam)
-    best_gain = self.min_gain
-    best = None
-    rows = binned[indices]
-    for feature in range(binned.shape[1]):
-        codes = rows[:, feature]
-        g_hist = np.bincount(codes, weights=g, minlength=self._n_bins)
-        h_hist = np.bincount(codes, weights=h, minlength=self._n_bins)
-        n_hist = np.bincount(codes, minlength=self._n_bins)
-        gl = np.cumsum(g_hist)[:-1]
-        hl = np.cumsum(h_hist)[:-1]
-        nl = np.cumsum(n_hist)[:-1]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        nr = indices.size - nl
-        valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
-        gains[~valid | ~np.isfinite(gains)] = -np.inf
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best = (feature, k)
-    return best
+def _per_feature_tree(binned, grad, hess, *, n_bins, **params):
+    """The legacy grower: a recursive split with one histogram pass per
+    feature per node, on row-subset copies of the gradients."""
+    from repro.ml.tree import GradHessTree, _TreeArrays
+
+    tree = GradHessTree(**params)
+    lam, leaf = tree.reg_lambda, tree.min_samples_leaf
+    arrays = _TreeArrays()
+
+    def best_split(indices, g, h, g_sum, h_sum):
+        parent_score = g_sum**2 / (h_sum + lam)
+        best_gain, best = tree.min_gain, None
+        rows = binned[indices]
+        for feature in range(binned.shape[1]):
+            codes = rows[:, feature]
+            gl = np.cumsum(np.bincount(codes, weights=g, minlength=n_bins))[:-1]
+            hl = np.cumsum(np.bincount(codes, weights=h, minlength=n_bins))[:-1]
+            nl = np.cumsum(np.bincount(codes, minlength=n_bins))[:-1]
+            gr, hr, nr = g_sum - gl, h_sum - hl, indices.size - nl
+            valid = (nl >= leaf) & (nr >= leaf)
+            if not valid.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
+            gains[~valid | ~np.isfinite(gains)] = -np.inf
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain, best = float(gains[k]), (feature, k)
+        return best
+
+    def grow(indices, node, depth):
+        g, h = grad[indices], hess[indices]
+        g_sum, h_sum = float(g.sum()), float(h.sum())
+        arrays.value[node] = -g_sum / (h_sum + lam)
+        if depth >= tree.max_depth or indices.size < 2 * leaf:
+            return
+        best = best_split(indices, g, h, g_sum, h_sum)
+        if best is None:
+            return
+        go_left = binned[indices, best[0]] <= best[1]
+        left_idx, right_idx = indices[go_left], indices[~go_left]
+        if left_idx.size < leaf or right_idx.size < leaf:
+            return
+        left, right = arrays.add_node(), arrays.add_node()
+        arrays.feature[node], arrays.bin_threshold[node] = best
+        arrays.left[node], arrays.right[node] = left, right
+        grow(left_idx, left, depth + 1)
+        grow(right_idx, right, depth + 1)
+
+    grow(np.arange(binned.shape[0]), arrays.add_node(), 0)
+    tree._arrays, tree._n_bins = arrays, n_bins
+    return tree
 
 
 def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
@@ -191,11 +215,8 @@ def bench_row_fusion_leg(schema, rows, *, repeats: int) -> dict:
 def bench_fit_leg(gb, X, y, *, n_trees: int, repeats: int) -> list[dict]:
     """Boosting rounds with the per-feature split search vs the flat pass."""
     from repro.ml.base import sigmoid
-    from repro.ml.tree import GradHessTree
+    from repro.ml.tree import GradHessTree, _SplitContext
 
-    per_feature_tree = type(
-        "PerFeatureTree", (GradHessTree,), {"_best_split": _per_feature_best_split}
-    )
     binned = gb._binner.transform(X)
     params = {
         "max_depth": gb.max_depth,
@@ -203,28 +224,37 @@ def bench_fit_leg(gb, X, y, *, n_trees: int, repeats: int) -> list[dict]:
         "reg_lambda": gb.reg_lambda,
     }
 
-    def boost(tree_cls) -> list:
+    def per_feature_fit():
+        return lambda g, h: _per_feature_tree(binned, g, h, n_bins=gb.n_bins, **params)
+
+    def flat_fit():
+        # One split context per fit, as GradientBoostingClassifier builds.
+        context = _SplitContext(binned, gb.n_bins)
+        return lambda g, h: GradHessTree(**params)._fit_rows(
+            context, context.weights(g, h)
+        )
+
+    def boost(new_fit) -> list:
+        grow = new_fit()
         raw = np.zeros(binned.shape[0])
         trees = []
         for _ in range(n_trees):
             probs = sigmoid(raw)
-            tree = tree_cls(**params).fit(
-                binned, probs - y, probs * (1.0 - probs), n_bins=gb.n_bins
-            )
+            tree = grow(probs - y, probs * (1.0 - probs))
             raw += gb.learning_rate * tree.predict_binned(binned)
             trees.append(tree)
         return trees
 
-    for old, new in zip(boost(per_feature_tree), boost(GradHessTree)):
+    for old, new in zip(boost(per_feature_fit), boost(flat_fit)):
         for a, b in zip(old.arrays.as_numpy(), new.arrays.as_numpy()):
             assert a.tobytes() == b.tobytes(), "split search broke bit-identity"
     seconds = {
         label: _best_seconds(
-            lambda: boost(tree_cls), repeats=repeats, min_rows=1, batch_rows=1
+            lambda: boost(new_fit), repeats=repeats, min_rows=1, batch_rows=1
         )
-        for label, tree_cls in (
-            ("fit_pertree", per_feature_tree),
-            ("fit_numpy", GradHessTree),
+        for label, new_fit in (
+            ("fit_pertree", per_feature_fit),
+            ("fit_numpy", flat_fit),
         )
     }
     row_trees = binned.shape[0] * n_trees

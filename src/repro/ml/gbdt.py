@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.ml.base import BaseClassifier, sigmoid
 from repro.ml.kernels import FlatForest, flatten_ensemble, predict_raw
-from repro.ml.tree import FeatureBinner, GradHessTree
+from repro.ml.tree import FeatureBinner, GradHessTree, _SplitContext
 from repro.utils.rng import child_rng
 from repro.utils.validation import check_fraction, check_positive
 
@@ -123,6 +123,8 @@ class GradientBoostingClassifier(BaseClassifier):
             else None
         )
 
+        # Kept features, flat codes and the bin-code check, once per fit.
+        context = _SplitContext(binned, self.n_bins)
         self._trees = []
         best_val_loss = np.inf
         rounds_since_best = 0
@@ -140,7 +142,7 @@ class GradientBoostingClassifier(BaseClassifier):
                 min_samples_leaf=self.min_samples_leaf,
                 reg_lambda=self.reg_lambda,
             )
-            tree.fit(binned[idx], grad[idx], hess[idx], n_bins=self.n_bins)
+            tree._fit_rows(context.rows(idx), context.weights(grad[idx], hess[idx]))
             update = tree.predict_binned(binned)
             if not np.any(update):
                 break  # tree degenerated to a stump with no signal

@@ -15,10 +15,22 @@ The split objective is the second-order (XGBoost-style) gain
 with leaf value ``-G / (H + lam)``.  Plain squared-error regression is the
 special case ``g = -y, h = 1`` (so the classes here serve both as public
 estimators and as the boosting engine).
+
+Everything the split search can prepare once per fit lives in a
+:class:`_SplitContext`: the features that are not constant over the fit
+rows and their flat histogram indices ``code + k * n_bins``.  A boosting
+fit builds it once and grows each tree on a copy of its subsample's
+rows.  Gradients and hessians travel as one complex vector
+``grad + 1j * hess``: each node scatters it into one histogram, whose
+real and imaginary parts are the gradient and hessian sums, each added
+in row order exactly as separate ``bincount`` calls would.  Count
+histograms are integers, so a node's larger child takes its counts as
+parent minus smaller child.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +42,10 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["FeatureBinner", "GradHessTree", "DecisionTreeRegressor", "DecisionTreeClassifier"]
 
-#: Most (row, feature) entries one ``bincount`` of the split search
-#: takes.  A node's histograms are built in blocks of features holding
-#: at most this many entries (one feature at a time once a node has
-#: more rows), so the flat indices and repeated weights, 8 bytes an
-#: entry each, stay cache-sized, and on large nodes grow with the rows
-#: rather than with rows x features.
+#: Most (row, feature) entries one scatter of the split search takes.  A
+#: node's histograms are built over blocks of its rows holding at most
+#: this many entries, so the flat indices and repeated weights, 8 and 16
+#: bytes an entry, stay cache-sized whatever the node's size.
 _SPLIT_BLOCK_ENTRIES = 1 << 16
 
 
@@ -127,6 +137,80 @@ class _TreeArrays:
         )
 
 
+class _SplitContext:
+    """Split-search inputs fixed for one fit: kept features and flat codes.
+
+    A feature constant over the fit rows is constant in every node, so
+    it can never split and gets no histogram; ``kept`` lists the others.
+    ``flat[:, k]`` is ``binned[:, kept[k]] + k * n_bins``, in the
+    narrowest unsigned dtype that holds the largest such index, so one
+    scatter over a node's rows fills every kept feature's histogram.
+    """
+
+    def __init__(self, binned: np.ndarray, n_bins: int) -> None:
+        if binned.dtype != np.uint8:
+            raise ValidationError("binned matrix must be uint8 bin codes")
+        if n_bins < 2:
+            raise ValidationError(f"n_bins must be at least 2, got {n_bins}")
+        if binned.size:
+            low, high = binned.min(axis=0), binned.max(axis=0)
+            # A code past the last bin would land in the next feature's
+            # histogram in the flat split search, so refuse it up front.
+            if int(high.max()) >= n_bins:
+                raise ValidationError(
+                    f"bin code {int(high.max())} out of range for n_bins={n_bins}"
+                )
+            kept = np.flatnonzero(low != high)
+        else:
+            kept = np.arange(0)
+        self.n_bins = int(n_bins)
+        self.kept = kept
+        self.size = kept.size * self.n_bins
+        dtype = np.min_scalar_type(max(self.size - 1, 0))
+        self.flat = binned[:, kept].astype(dtype)
+        self.flat += (np.arange(kept.size) * self.n_bins).astype(dtype)
+
+    def rows(self, indices: np.ndarray) -> "_SplitContext":
+        """This context's rows ``indices``, copied in that order.
+
+        A boosting round grows its tree on a copy of the subsample's
+        codes: every node then gathers from one compact block instead of
+        rows scattered over the whole fit, which on fits too large for
+        the cache costs more than the copy.
+        """
+        subset = copy.copy(self)
+        subset.flat = self.flat[indices]
+        return subset
+
+    @staticmethod
+    def weights(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+        """``grad + 1j * hess``, built by assignment so no part is rounded."""
+        weights = np.empty(grad.shape[0], dtype=np.complex128)
+        weights.real = grad
+        weights.imag = hess
+        return weights
+
+    def blocks(self, indices: np.ndarray):
+        """Flat codes of rows ``indices`` as intp, in blocks of rows.
+
+        Yields ``(rows, codes)``: a slice of ``indices`` and the
+        row-major codes of those rows, at most ``_SPLIT_BLOCK_ENTRIES``
+        entries a block.  Blocks follow ``indices`` order, so a scatter
+        over them adds each bin's rows in that order.
+        """
+        step = max(1, _SPLIT_BLOCK_ENTRIES // max(self.kept.size, 1))
+        for start in range(0, indices.size, step):
+            rows = slice(start, start + step)
+            yield rows, self.flat[indices[rows]].astype(np.intp).ravel()
+
+    def counts(self, indices: np.ndarray) -> np.ndarray:
+        """Per-(kept feature, bin) row counts of rows ``indices``."""
+        counts = np.zeros(self.size, dtype=np.intp)
+        for _, codes in self.blocks(indices):
+            counts += np.bincount(codes, minlength=self.size)
+        return counts.reshape(self.kept.size, self.n_bins)
+
+
 class GradHessTree:
     """One regression tree fit to gradients/hessians on binned features."""
 
@@ -140,6 +224,12 @@ class GradHessTree:
     ) -> None:
         self.max_depth = int(check_positive(max_depth, "max_depth"))
         self.min_samples_leaf = int(check_positive(min_samples_leaf, "min_samples_leaf"))
+        if self.min_samples_leaf < 1:
+            # A leaf must hold a row: below one, an empty side or a
+            # constant feature could pass the min_samples_leaf test.
+            raise ValidationError(
+                f"min_samples_leaf must be at least 1, got {min_samples_leaf!r}"
+            )
         self.reg_lambda = check_nonnegative(reg_lambda, "reg_lambda")
         self.min_gain = check_nonnegative(min_gain, "min_gain")
         self._arrays: _TreeArrays | None = None
@@ -168,120 +258,130 @@ class GradHessTree:
         n_bins: int,
     ) -> "GradHessTree":
         """Grow the tree on bin codes ``binned`` and per-sample grad/hess."""
-        if binned.dtype != np.uint8:
-            raise ValidationError("binned matrix must be uint8 bin codes")
-        if n_bins < 2:
-            raise ValidationError(f"n_bins must be at least 2, got {n_bins}")
-        # A code past the last bin would land in the next feature's
-        # histogram in the flat split search, so refuse it up front.
-        max_code = int(binned.max()) if binned.size else 0
-        if max_code >= n_bins:
-            raise ValidationError(
-                f"bin code {max_code} out of range for n_bins={n_bins}"
-            )
-        self._n_bins = int(n_bins)
+        context = _SplitContext(binned, n_bins)
+        return self._fit_rows(context, context.weights(grad, hess))
+
+    def _fit_rows(self, context: _SplitContext, weights: np.ndarray) -> "GradHessTree":
+        """Grow on every row of ``context``, in order.
+
+        ``weights`` holds the rows' ``grad + 1j * hess``; every node sums
+        its rows in row order.
+        """
+        self._n_bins = context.n_bins
         self._arrays = _TreeArrays()
         root = self._arrays.add_node()
-        indices = np.arange(binned.shape[0])
-        self._grow(binned, grad, hess, indices, node=root, depth=0)
+        indices = np.arange(weights.shape[0])
+        self._grow(context, weights, indices, None, node=root, depth=0)
         return self
 
     def _leaf_value(self, g_sum: float, h_sum: float) -> float:
         return -g_sum / (h_sum + self.reg_lambda)
 
+    def _searches(self, n_rows: int, depth: int) -> bool:
+        """Whether a node of ``n_rows`` rows at ``depth`` looks for a split."""
+        return depth < self.max_depth and n_rows >= 2 * self.min_samples_leaf
+
     def _grow(
         self,
-        binned: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
+        context: _SplitContext,
+        weights: np.ndarray,
         indices: np.ndarray,
+        counts: np.ndarray | None,
         *,
         node: int,
         depth: int,
     ) -> None:
         assert self._arrays is not None
-        g = grad[indices]
-        h = hess[indices]
-        g_sum = float(g.sum())
-        h_sum = float(h.sum())
+        w = weights[indices]
+        g_sum = float(w.real.sum())
+        h_sum = float(w.imag.sum())
         self._arrays.value[node] = self._leaf_value(g_sum, h_sum)
-        if depth >= self.max_depth or indices.size < 2 * self.min_samples_leaf:
+        if not self._searches(indices.size, depth):
             return
-        best = self._best_split(binned, indices, g, h, g_sum, h_sum)
+        if counts is None:
+            counts = context.counts(indices)
+        best = self._best_split(context, indices, w, counts, g_sum, h_sum)
         if best is None:
             return
-        feature, bin_threshold = best
-        go_left = binned[indices, feature] <= bin_threshold
+        kept_index, bin_threshold = best
+        # Flat codes keep the order of the bin codes within a feature.
+        threshold_code = kept_index * context.n_bins + bin_threshold
+        go_left = context.flat[indices, kept_index] <= threshold_code
         left_idx = indices[go_left]
         right_idx = indices[~go_left]
         if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
             return
         left = self._arrays.add_node()
         right = self._arrays.add_node()
-        self._arrays.feature[node] = feature
+        self._arrays.feature[node] = int(context.kept[kept_index])
         self._arrays.bin_threshold[node] = bin_threshold
         self._arrays.left[node] = left
         self._arrays.right[node] = right
-        self._grow(binned, grad, hess, left_idx, node=left, depth=depth + 1)
-        self._grow(binned, grad, hess, right_idx, node=right, depth=depth + 1)
+        left_counts = right_counts = None
+        if self._searches(left_idx.size, depth + 1) or self._searches(
+            right_idx.size, depth + 1
+        ):
+            # Count the smaller child; the larger one is the exact
+            # integer difference.
+            if left_idx.size <= right_idx.size:
+                left_counts = context.counts(left_idx)
+                right_counts = counts - left_counts
+            else:
+                right_counts = context.counts(right_idx)
+                left_counts = counts - right_counts
+        self._grow(context, weights, left_idx, left_counts, node=left, depth=depth + 1)
+        self._grow(context, weights, right_idx, right_counts, node=right, depth=depth + 1)
 
     def _best_split(
         self,
-        binned: np.ndarray,
+        context: _SplitContext,
         indices: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
+        w: np.ndarray,
+        counts: np.ndarray,
         g_sum: float,
         h_sum: float,
     ) -> tuple[int, int] | None:
-        """Best ``(feature, bin)`` split of the node's rows, or ``None``.
+        """Best ``(kept feature index, bin)`` split of the node's rows, or ``None``.
 
-        The gradient, hessian and count histograms of a block of features
-        come from one ``bincount`` each over the flat indices
-        ``code + feature * n_bins`` of the node's rows.  ``bincount`` adds
-        in input order, so every bin still sums its rows in row order.
-        The gain is then evaluated once over the whole (features x
-        thresholds) matrix, and its row-major ``argmax`` picks the first
-        feature, then the first bin, among equal gains.
+        ``w`` is the node's ``grad + 1j * hess`` in row order and
+        ``counts`` its per-(kept feature, bin) row counts.  Thresholds
+        that leave a side with fewer than ``min_samples_leaf`` rows are
+        dropped first, in row-major (feature, bin) order.  When any
+        remain, one complex ``np.add.at`` per block of rows builds the
+        gradient and hessian histograms (each bin adds its rows in row
+        order), one complex ``cumsum`` gives the left-side sums, and the
+        gain is evaluated only at the remaining thresholds.  ``argmax``
+        over them picks the first feature, then the first bin, among
+        equal gains, exactly as over the full (features x thresholds)
+        matrix with the rest set to ``-inf``.
         """
+        n_bins = context.n_bins
+        leaf = self.min_samples_leaf
+        # Left-side counts at threshold t = bin t of each kept feature,
+        # flat at k * n_bins + t.  The last bin leaves no row on the
+        # right, so it is never valid (min_samples_leaf >= 1).
+        nl = np.cumsum(counts, axis=1).ravel()
+        valid = np.flatnonzero((nl >= leaf) & (indices.size - nl >= leaf))
+        if not valid.size:
+            return None
+        hist = np.zeros(context.size, dtype=np.complex128)
+        for rows, codes in context.blocks(indices):
+            np.add.at(hist, codes, np.repeat(w[rows], context.kept.size))
+        left = np.cumsum(hist.reshape(-1, n_bins), axis=1).ravel()[valid]
+        gl, hl = left.real, left.imag
         lam = self.reg_lambda
-        n_bins = self._n_bins
-        n_rows = indices.size
-        rows = binned[indices]
-        n_features = rows.shape[1]
-        block = max(1, _SPLIT_BLOCK_ENTRIES // n_rows)
-        g_hist = np.empty((n_features, n_bins))
-        h_hist = np.empty((n_features, n_bins))
-        n_hist = np.empty((n_features, n_bins), dtype=np.intp)
-        for start in range(0, n_features, block):
-            codes = rows[:, start : start + block]
-            width = codes.shape[1]
-            flat = (codes + np.arange(width) * n_bins).ravel()
-            size = width * n_bins
-            g_block = np.bincount(flat, weights=np.repeat(g, width), minlength=size)
-            h_block = np.bincount(flat, weights=np.repeat(h, width), minlength=size)
-            n_block = np.bincount(flat, minlength=size)
-            g_hist[start : start + width] = g_block.reshape(width, n_bins)
-            h_hist[start : start + width] = h_block.reshape(width, n_bins)
-            n_hist[start : start + width] = n_block.reshape(width, n_bins)
-        # Left-side sums for thresholds 0 .. n_bins - 2.
-        gl = np.cumsum(g_hist, axis=1)[:, :-1]
-        hl = np.cumsum(h_hist, axis=1)[:, :-1]
-        nl = np.cumsum(n_hist, axis=1)[:, :-1]
         gr = g_sum - gl
         hr = h_sum - hl
-        nr = n_rows - nl
-        valid = (nl >= self.min_samples_leaf) & (nr >= self.min_samples_leaf)
         parent_score = g_sum**2 / (h_sum + lam)
-        # With lam == 0 an empty side has hl/hr == 0; those candidates
-        # are masked out below, so silence the harmless 0/0.
+        # With lam == 0 a side of zero-hessian rows divides by zero;
+        # those candidates are masked out below, so silence the warning.
         with np.errstate(divide="ignore", invalid="ignore"):
             gains = gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent_score
-        gains[~valid | ~np.isfinite(gains)] = -np.inf
+        gains[~np.isfinite(gains)] = -np.inf
         k = int(np.argmax(gains))
-        if gains.flat[k] > self.min_gain:
-            feature, bin_threshold = divmod(k, n_bins - 1)
-            return feature, bin_threshold
+        if gains[k] > self.min_gain:
+            kept_index, bin_threshold = divmod(int(valid[k]), n_bins)
+            return kept_index, bin_threshold
         return None
 
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:

@@ -70,6 +70,11 @@ class TestGradHessTree:
                 np.zeros((4, 1), dtype=np.uint8), np.zeros(4), np.ones(4), n_bins=1
             )
 
+    def test_rejects_min_samples_leaf_below_one(self):
+        """0.5 would truncate to 0, letting an empty side pass the leaf test."""
+        with pytest.raises(ValidationError, match="at least 1"):
+            GradHessTree(min_samples_leaf=0.5)
+
     def test_pure_split_recovery(self):
         """A single informative feature should be split on exactly."""
         X = np.linspace(0, 1, 200).reshape(-1, 1)
