@@ -183,35 +183,46 @@ def bench_kernel_legs(gb, X, *, bulk_rows: int, repeats: int) -> list[dict]:
 
 
 def bench_microbatch_leg(predictor, schema, rows, *, repeats: int) -> list[dict]:
-    """End-to-end micro-batch serve path under both scoring paths."""
+    """End-to-end micro-batch serve path under both scoring paths.
+
+    Both sides are timed in interleaved pairs (:func:`_paired_seconds`),
+    one full submit + flush of ``rows`` per pass.
+    """
     from repro.serve import MicroBatchScorer, ScorerConfig
 
     gb = predictor._model
 
-    def score_all() -> float:
+    def pertree_decision(X):
+        return _pertree_raw(gb, gb._binner.transform(X))
+
+    def score_all(pertree: bool) -> None:
+        if pertree:
+            # Instance-level patch: exactly the pre-kernel scoring path.
+            gb._decision_function = pertree_decision
+        else:
+            gb.__dict__.pop("_decision_function", None)
         scorer = MicroBatchScorer(
             predictor, schema, ScorerConfig(max_batch_size=MICRO_BATCH_SIZES[0])
         )
         scorer.submit(rows, now_minute=0.0)
         scorer.flush()
-        return scorer.counters.rows_per_second
 
-    entries = []
-    rates = {}
-    for label, patched in (("microbatch_pertree", True), ("microbatch_numpy", False)):
-        if patched:
-            # Instance-level patch: exactly the pre-kernel scoring path.
-            gb._decision_function = lambda X: _pertree_raw(
-                gb, gb._binner.transform(X)
-            )
-        else:
-            gb.__dict__.pop("_decision_function", None)
-        rates[label] = max(score_all() for _ in range(repeats))
-        entries.append({"label": label, "rows_per_sec": round(rates[label], 1)})
-    entries[-1]["speedup"] = round(
-        rates["microbatch_numpy"] / rates["microbatch_pertree"], 2
+    seconds_pertree, seconds, speedup = _paired_seconds(
+        lambda: score_all(True),
+        lambda: score_all(False),
+        repeats=repeats,
+        min_rows=1,
+        batch_rows=1,
     )
-    return entries
+    gb.__dict__.pop("_decision_function", None)
+    return [
+        {"label": "microbatch_pertree", "rows_per_sec": round(len(rows) / seconds_pertree, 1)},
+        {
+            "label": "microbatch_numpy",
+            "rows_per_sec": round(len(rows) / seconds, 1),
+            "speedup": round(speedup, 2),
+        },
+    ]
 
 
 def bench_row_fusion_leg(schema, rows, *, repeats: int) -> dict:

@@ -4,8 +4,9 @@
 Runs the full trace -> features pipeline twice, each in its own child
 process so ``ru_maxrss`` reports an honest per-path high-water mark:
 
-- **monolithic** — ``simulate_trace`` (whole machine in memory), save and
-  reload the single-archive trace, then ``build_features`` (batch);
+- **monolithic** — the experiment context's cold path: simulate the whole
+  machine in memory as one span into a 1-segment store, read the trace
+  back (``load_trace``), then ``build_features`` (batch);
 - **segmented** — ``simulate_trace_to_store`` (one shard span in memory
   at a time, committed segment by segment), then
   ``build_features_from_store`` (two streaming passes, never
@@ -51,12 +52,10 @@ def _child(mode: str, preset: str, segments: int, workdir: str) -> None:
     start = time.perf_counter()
     if mode == "monolithic":
         from repro.features.builder import build_features
-        from repro.telemetry.simulator import simulate_trace
-        from repro.telemetry.trace import Trace
+        from repro.store import simulate_trace_to_store
 
-        trace = simulate_trace(config)
-        trace.save(Path(workdir) / "trace")
-        trace = Trace.load(Path(workdir) / "trace")
+        store = simulate_trace_to_store(config, Path(workdir) / "trace", segments=1)
+        trace = store.load_trace()
         features = build_features(trace)
         rows = trace.num_samples
     elif mode == "segmented":

@@ -2,8 +2,8 @@
 
 Subcommands::
 
-    repro simulate --preset default --out trace        # simulate + save
-    repro --jobs 4 simulate --out trace --shards 4     # sharded (bit-identical)
+    repro simulate --out runs/trace                    # simulate into a store
+    repro --jobs 4 simulate --out runs/trace           # 4 segments, 4 workers
     repro --jobs 4 experiment all                      # parallel fan-out
     repro characterize --preset default                # figs 1-8 stats
     repro evaluate --preset default --split DS1 --model gbdt
@@ -17,13 +17,13 @@ Subcommands::
     repro resilience --intensities 0,0.25 --seed 7     # availability curve
     repro registry verify --registry runs/registry     # checksum audit
     repro registry rollback --registry r --to 2        # re-point the head
-    repro store simulate --out runs/store --segments 8 # segmented trace
-    repro store verify --store runs/store              # checksum audit
-    repro store recover --store runs/store             # heal bad segments
-    repro store inject --store runs/store --kind torn  # disk-fault drill
-    repro store digest --store runs/store              # streamed digest
-    repro --segmented experiment all                   # out-of-core sweep
-    repro --obs on --obs-snapshot obs.json simulate --out trace
+    repro simulate --out runs/trace --resume           # finish a killed run
+    repro store verify --store runs/trace              # checksum audit
+    repro store recover --store runs/trace             # heal bad segments
+    repro store inject --store runs/trace --kind torn  # disk-fault drill
+    repro store digest --store runs/trace              # streamed digest
+    repro store features --store runs/trace            # out-of-core features
+    repro --obs on --obs-snapshot obs.json simulate --out runs/trace
     repro obs report obs.json                          # render a snapshot
     repro obs diff before.json after.json              # compare two
 
@@ -32,10 +32,11 @@ The top-level ``--strict`` flag escalates every degraded-data repair
 typed :class:`~repro.utils.errors.DegradedDataError` with exit status 1,
 for pipelines that must fail loudly rather than self-heal.
 
-All subcommands share the preset-keyed trace cache (see
-``repro.experiments.runner.default_cache_dir``).  Library failures
-(:class:`~repro.utils.errors.ReproError`) exit with status 1 and a
-one-line message on stderr, never a traceback.
+Every trace on disk is a segment store (:mod:`repro.store`): the
+``simulate`` output and the preset-keyed trace cache that the other
+subcommands share (see ``repro.experiments.runner.default_cache_dir``).
+Library failures (:class:`~repro.utils.errors.ReproError`) exit with
+status 1 and a one-line message on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.obs import (
     render_report,
     write_snapshot,
 )
-from repro.telemetry.simulator import simulate_trace
 from repro.utils.errors import (
     DegradedDataError,
     DegradedDataWarning,
@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of warning and self-healing",
     )
     parser.add_argument(
-        "--segmented",
-        action="store_true",
-        help="produce/consume the trace through the segmented on-disk "
-        "store (out of core; results are bit-identical)",
-    )
-    parser.add_argument(
         "--obs",
         default=None,
         choices=["on", "off", "sample"],
@@ -129,15 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="simulate a trace and save it")
-    sim.add_argument("--out", required=True, help="output path (without extension)")
+    sim = sub.add_parser(
+        "simulate", help="simulate the preset's trace into a segment store"
+    )
+    sim.add_argument("--out", required=True, help="store directory")
     sim.add_argument(
-        "--shards",
+        "--segments",
         type=int,
         default=None,
         metavar="N",
-        help="row-shard count for the simulation (default: the --jobs "
-        "value; merged output is bit-identical to a serial run)",
+        help="segment count (default: the --jobs value; clamped to the "
+        "machine's cabinet rows; the trace is bit-identical to a serial run)",
     )
     sim.add_argument(
         "--scenario",
@@ -146,6 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="script cluster life over the trace (seasonal drift, "
         "maintenance, SBE storms, ...); omitted = bit-identical to "
         "today's output",
+    )
+    sim.add_argument(
+        "--resume",
+        action="store_true",
+        help="resume a killed run from its journal (bit-identical result)",
+    )
+    sim.add_argument(
+        "--crash-after-segments",
+        type=int,
+        default=None,
+        metavar="K",
+        help="simulate a crash after K segment commits (resume test hook)",
     )
 
     sub.add_parser("characterize", help="run the characterization experiments")
@@ -319,32 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     st = sub.add_parser(
-        "store", help="segmented trace store (out-of-core, crash-safe)"
+        "store", help="audit, repair or read a trace store written by simulate"
     )
     sta = st.add_subparsers(dest="store_command", required=True)
-    s_sim = sta.add_parser(
-        "simulate", help="simulate the preset's trace into a segmented store"
-    )
-    s_sim.add_argument("--out", required=True, help="store directory")
-    s_sim.add_argument(
-        "--segments",
-        type=int,
-        default=8,
-        metavar="N",
-        help="segment count (clamped to the machine's cabinet rows)",
-    )
-    s_sim.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a killed run from its journal (bit-identical result)",
-    )
-    s_sim.add_argument(
-        "--crash-after-segments",
-        type=int,
-        default=None,
-        metavar="K",
-        help="simulate a crash after K segment commits (resume test hook)",
-    )
     for name, help_text in (
         ("verify", "checksum-verify every segment (exit 1 on damage)"),
         ("recover", "re-simulate and rewrite damaged segments in place"),
@@ -416,35 +401,17 @@ def _parse_intensities(
     return values
 
 
-def _dispatch_store(args: argparse.Namespace, jobs: int) -> int:
+def _dispatch_store(args: argparse.Namespace) -> int:
     """Run one ``repro store`` action; may raise :class:`ReproError`."""
     from repro.features.builder import build_features_from_store
     from repro.store import (
         DiskFaultSpec,
         SegmentedTraceStore,
         inject_disk_fault,
-        simulate_trace_to_store,
         store_trace_digest,
     )
 
     strict = bool(args.strict)
-    if args.store_command == "simulate":
-        started = time.perf_counter()
-        store = simulate_trace_to_store(
-            preset_config(args.preset),
-            args.out,
-            segments=args.segments,
-            jobs=jobs,
-            resume=args.resume,
-            crash_after_segments=args.crash_after_segments,
-        )
-        print(
-            f"simulated {store.num_samples} samples into "
-            f"{store.num_segments} segment(s) in "
-            f"{time.perf_counter() - started:.0f}s -> {store.root}"
-        )
-        return 0
-
     store = SegmentedTraceStore(args.store)
     if args.store_command == "verify":
         statuses = store.verify()
@@ -483,6 +450,32 @@ def _dispatch_store(args: argparse.Namespace, jobs: int) -> int:
     return 2  # pragma: no cover - argparse enforces the action set
 
 
+def _simulate(args: argparse.Namespace, jobs: int) -> int:
+    """Simulate the preset's trace into the store at ``--out``."""
+    import dataclasses
+
+    from repro.store import simulate_trace_to_store
+
+    started = time.perf_counter()
+    config = preset_config(args.preset)
+    if args.scenario is not None:
+        config = dataclasses.replace(config, scenario=scenario_preset(args.scenario))
+    store = simulate_trace_to_store(
+        config,
+        args.out,
+        segments=args.segments if args.segments is not None else jobs,
+        jobs=jobs,
+        resume=args.resume,
+        crash_after_segments=args.crash_after_segments,
+    )
+    print(
+        f"simulated {store.num_samples} samples over "
+        f"{config.duration_days:.0f} days into {store.num_segments} "
+        f"segment(s) in {time.perf_counter() - started:.0f}s -> {store.root}"
+    )
+    return 0
+
+
 def _dispatch_obs(args: argparse.Namespace) -> int:
     """Run one ``repro obs`` action; may raise :class:`ReproError`."""
     if args.obs_command == "report":
@@ -503,44 +496,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "obs":
         return _dispatch_obs(args)
     if args.command == "store":
-        return _dispatch_store(args, jobs)
+        return _dispatch_store(args)
+    if args.command == "simulate":
+        return _simulate(args, jobs)
     context = ExperimentContext(
         args.preset,
         use_disk_cache=not args.no_cache,
         jobs=jobs,
         strict=args.strict,
-        segmented=args.segmented,
     )
-
-    if args.command == "simulate":
-        import dataclasses
-
-        started = time.perf_counter()
-        config = preset_config(args.preset)
-        if args.scenario is not None:
-            config = dataclasses.replace(
-                config, scenario=scenario_preset(args.scenario)
-            )
-        shards = args.shards if args.shards is not None else jobs
-        if shards > 1 or jobs > 1:
-            from repro.parallel.simulate import simulate_trace_sharded
-
-            trace = simulate_trace_sharded(config, shards=max(1, shards), jobs=jobs)
-        else:
-            trace = simulate_trace(config)
-        trace.save(args.out)
-        stages = trace.meta.get("stage_seconds", {})
-        stage_note = ", ".join(
-            f"{name} {seconds:.1f}s" for name, seconds in sorted(stages.items())
-        )
-        print(
-            f"simulated {trace.num_samples} samples over "
-            f"{trace.config.duration_days:.0f} days in "
-            f"{time.perf_counter() - started:.0f}s "
-            f"({trace.meta.get('shards', 1)} shard(s); {stage_note}) "
-            f"-> {args.out}.npz"
-        )
-        return 0
 
     if args.command == "characterize":
         for experiment_id in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):

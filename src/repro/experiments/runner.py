@@ -9,29 +9,27 @@ changes can never collide — plus the pipeline with preset-appropriate
 splits and every ``(split, model, feature-selection)`` evaluation, so a
 full sweep over all experiments pays each cost once.
 
-With ``jobs > 1`` the context simulates its trace as row-shards on a
-process pool (:func:`~repro.parallel.simulate.simulate_trace_sharded`);
-the result is bit-identical to the serial run, so the parallelism is
-invisible to every consumer.
+On disk the trace is a segment store (:mod:`repro.store`).  With
+``jobs > 1`` the context simulates it as one segment per job on a
+process pool; the result is bit-identical to the serial run, so the
+parallelism is invisible to every consumer.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from pathlib import Path
 
 from repro.core.pipeline import PredictionPipeline, SplitResult
 from repro.experiments.presets import preset_config, split_plan
-from repro.features.builder import (
-    FeatureMatrix,
-    build_features,
-    build_features_from_store,
-)
+from repro.features.builder import FeatureMatrix, build_features
 from repro.features.splits import DatasetSplit, make_paper_splits
 from repro.parallel.cache import ContentCache
 from repro.parallel.simulate import simulate_trace_sharded
-from repro.telemetry.simulator import simulate_trace
+from repro.store import SegmentedTraceStore, simulate_trace_to_store
 from repro.telemetry.trace import Trace
+from repro.utils.errors import DegradedDataWarning, TraceIOError, ValidationError
 
 __all__ = ["ExperimentContext", "default_cache_dir"]
 
@@ -59,15 +57,11 @@ class ExperimentContext:
         use_disk_cache: bool = True,
         jobs: int = 1,
         strict: bool = False,
-        segmented: bool = False,
     ) -> None:
         self.preset = preset
         self.jobs = max(1, int(jobs))
         #: Escalate degraded-data repairs into typed errors (``--strict``).
         self.strict = bool(strict)
-        #: Produce/consume the trace through the segmented on-disk store
-        #: (out of core) instead of one monolithic archive.
-        self.segmented = bool(segmented)
         self._cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self._cache = ContentCache(self._cache_dir)
         self._use_disk_cache = use_disk_cache
@@ -75,7 +69,6 @@ class ExperimentContext:
         self._features: FeatureMatrix | None = None
         self._pipeline: PredictionPipeline | None = None
         self._results: dict[tuple, SplitResult] = {}
-        self._store = None
 
     # ------------------------------------------------------------------
     @property
@@ -85,59 +78,60 @@ class ExperimentContext:
 
     @property
     def trace(self) -> Trace:
-        """The simulated trace (from memory, disk cache, or a fresh run).
+        """The simulated trace (from memory, the disk cache, or a fresh run).
 
-        A corrupt or truncated cache entry is never fatal: the failure is
-        reported as a :class:`~repro.utils.errors.DegradedDataWarning`
-        and the trace is re-simulated (and the cache rewritten) instead.
+        The disk cache holds the trace as a segment store with one
+        segment per job.  Reading it verifies every segment; a damaged
+        one is re-simulated under a
+        :class:`~repro.utils.errors.DegradedDataWarning` (or raises
+        :class:`~repro.utils.errors.SegmentCorruptionError` when strict).
         """
         if self._trace is None:
-            if self.segmented:
-                self._trace = self.store.load_trace(strict=self.strict)
-                return self._trace
             config = preset_config(self.preset)
             if self._use_disk_cache:
-                self._trace = self._cache.load_trace(config)
-            if self._trace is None:
-                if self.jobs > 1:
-                    self._trace = simulate_trace_sharded(
-                        config, shards=self.jobs, jobs=self.jobs
-                    )
-                else:
-                    self._trace = simulate_trace(config)
-                if self._use_disk_cache:
-                    self._cache.store_trace(config, self._trace)
+                store = self._cached_store(config)
+                self._trace = store.load_trace(strict=self.strict)
+            else:
+                self._trace = simulate_trace_sharded(
+                    config, shards=self.jobs, jobs=self.jobs
+                )
         return self._trace
 
-    @property
-    def store(self):
-        """The segmented trace store (``segmented=True`` contexts only).
+    def _cached_store(self, config) -> SegmentedTraceStore:
+        """The committed cache store for ``config``, built if need be.
 
-        A committed store under the cache directory is verified and — in
-        non-strict mode — healed; an uncommitted or absent one is
-        (re)built by the crash-safe pipeline, resuming any journaled
-        segments.  The store content is bit-identical to :attr:`trace`
-        from a serial run, so consumers may mix the two freely.
+        An unreadable manifest is the one fault a store cannot heal in
+        place: it warns and the store is rebuilt, or — when strict —
+        raises :class:`~repro.utils.errors.TraceIOError`.  An
+        uncommitted store resumes its journal; a journal left by a
+        killed build under another segment count cannot be resumed, so
+        the build starts over.
         """
-        from repro.store import SegmentedTraceStore, simulate_trace_to_store
-        from repro.utils.errors import ValidationError
-
-        if not self.segmented:
-            raise ValidationError(
-                "this context is not segmented; pass segmented=True"
-            )
-        if self._store is None:
-            config = preset_config(self.preset)
-            root = self._cache.store_path(config)
-            store = SegmentedTraceStore(root)
-            if store.is_committed:
-                store.recover(strict=self.strict)
-            else:
-                store = simulate_trace_to_store(
-                    config, root, jobs=self.jobs, resume=root.exists()
+        root = self._cache.store_path(config)
+        store = SegmentedTraceStore(root)
+        resume = root.exists()
+        if store.is_committed:
+            try:
+                store.manifest()
+                return store
+            except TraceIOError as exc:
+                if self.strict:
+                    raise
+                warnings.warn(
+                    f"trace cache is unreadable ({exc}); re-simulating",
+                    DegradedDataWarning,
+                    stacklevel=3,
                 )
-            self._store = store
-        return self._store
+                resume = False
+        try:
+            return simulate_trace_to_store(
+                config, root, segments=self.jobs, jobs=self.jobs, resume=resume
+            )
+        except ValidationError:
+            # The journal belongs to a build under another segment count.
+            return simulate_trace_to_store(
+                config, root, segments=self.jobs, jobs=self.jobs
+            )
 
     @property
     def features(self) -> FeatureMatrix:
@@ -149,15 +143,7 @@ class ExperimentContext:
                     config, **_FEATURE_PARAMS
                 )
             if self._features is None:
-                if self.segmented:
-                    # Out of core: never materializes the full trace.
-                    self._features = build_features_from_store(
-                        self.store,
-                        top_k_apps=_FEATURE_PARAMS["top_k_apps"],
-                        strict=self.strict,
-                    )
-                else:
-                    self._features = build_features(self.trace)
+                self._features = build_features(self.trace)
                 if self._use_disk_cache:
                     self._cache.store_features(
                         config, self._features, **_FEATURE_PARAMS

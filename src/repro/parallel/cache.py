@@ -7,13 +7,15 @@ the feature-building parameters changes the key, and bumping
 :data:`CACHE_SCHEMA_VERSION` after a content-affecting code change
 invalidates every stale entry at once instead of serving wrong data.
 
-Storage uses the hardened IO primitives of :mod:`repro.utils.io`: archives
-are written atomically (temp + rename) and every entry carries a SHA-256
-checksum in a JSON manifest, so concurrent writers (parallel experiment
-workers racing to populate the same entry) and crashes can never leave a
-half-written entry that a later read would accept.  A corrupt entry is
-never fatal — it is reported as a :class:`DegradedDataWarning` and the
-caller recomputes.
+A trace entry is a segment store directory (:meth:`ContentCache.store_path`;
+the store's own manifest, checksums and healing live in
+:mod:`repro.store`).  Feature entries use the hardened IO primitives of
+:mod:`repro.utils.io`: archives are written atomically (temp + rename)
+and every entry carries a SHA-256 checksum in a JSON manifest, so
+concurrent writers (parallel experiment workers racing to populate the
+same entry) and crashes can never leave a half-written entry that a
+later read would accept.  A corrupt entry is never fatal — it is
+reported as a :class:`DegradedDataWarning` and the caller recomputes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from repro.features.builder import FeatureMatrix
 from repro.features.schema import FeatureSchema
 from repro.telemetry.config import TraceConfig
-from repro.telemetry.trace import Trace, config_to_dict
+from repro.telemetry.trace import config_to_dict
 from repro.utils.errors import DegradedDataWarning, ReproError, TraceIOError
 from repro.utils.io import atomic_write, atomic_write_text, sha256_bytes, sha256_file
 
@@ -68,45 +70,11 @@ class ContentCache:
     # ------------------------------------------------------------------
     # Traces
     # ------------------------------------------------------------------
-    def trace_path(self, config: TraceConfig) -> Path:
-        """Entry path (no suffix) for ``config``'s trace."""
-        return self._root / f"trace-{config_digest(config)}"
-
-    def load_trace(self, config: TraceConfig) -> Trace | None:
-        """The cached trace for ``config``, or ``None``.
-
-        A missing entry returns ``None`` silently; a corrupt one warns
-        :class:`DegradedDataWarning` and returns ``None`` so the caller
-        re-simulates.
-        """
-        path = self.trace_path(config)
-        if not path.with_suffix(".npz").exists():
-            return None
-        try:
-            return Trace.load(path)
-        except ReproError as exc:
-            warnings.warn(
-                f"trace cache is unreadable ({exc}); re-simulating",
-                DegradedDataWarning,
-                stacklevel=2,
-            )
-            return None
-
-    def store_trace(self, config: TraceConfig, trace: Trace) -> Path:
-        """Write ``trace`` under its content key; returns the entry path."""
-        path = self.trace_path(config)
-        trace.save(path)
-        return path
-
-    # ------------------------------------------------------------------
-    # Segmented stores
-    # ------------------------------------------------------------------
     def store_path(self, config: TraceConfig) -> Path:
-        """Directory for ``config``'s segmented trace store.
+        """Directory of ``config``'s trace, a segment store.
 
-        Keyed like :meth:`trace_path` so a monolithic entry and a
-        segmented store for the same configuration sit side by side and
-        invalidate together on schema bumps.
+        Keyed like :meth:`features_path`, so a trace and the feature
+        matrices built from it invalidate together on schema bumps.
         """
         return self._root / f"store-{config_digest(config)}"
 

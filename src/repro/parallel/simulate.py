@@ -64,23 +64,20 @@ def simulate_trace_sharded(
     config: TraceConfig | None = None,
     *,
     shards: int = 2,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> Trace:
     """Simulate ``config`` as ``shards`` row-shards and merge the results.
 
-    ``jobs`` is the number of worker processes (default: one per shard,
-    capped at the CPU count); ``jobs=1`` runs the shards sequentially
-    in-process, which is the reference path the parity tests compare
-    against.  The shard count is clamped to the machine's cabinet-row
-    count by the planner, so asking for more shards than rows is safe.
+    ``jobs`` is the number of worker processes; the default ``jobs=1``
+    runs the shards sequentially in-process, which is the reference path
+    the parity tests compare against.  The shard count is clamped to the
+    machine's cabinet-row count by the planner, so asking for more shards
+    than rows is safe.
     """
     config = config or TraceConfig()
     if shards < 1:
         raise ValidationError(f"shards must be >= 1, got {shards}")
     spans = plan_shards(config.machine, shards)
-    if jobs is None:
-        jobs = min(len(spans), multiprocessing.cpu_count())
-    jobs = max(1, int(jobs))
     results = [
         result for _, result in iter_shard_results(config, spans, jobs=jobs)
     ]

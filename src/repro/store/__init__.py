@@ -1,10 +1,12 @@
-"""Durable segmented trace store.
+"""Durable segmented trace store — the one on-disk trace format.
 
 ``repro.store`` holds simulated traces as **segments** — one checksummed
 npz archive per row-aligned :class:`~repro.topology.sharding.ShardSpan`
-— under a manifest-written-last commit protocol, so simulation, feature
-building, and caching can produce and consume traces segment-at-a-time
-without ever materializing the full arrays, and every storage failure
+— under a manifest-written-last commit protocol.  ``repro simulate``
+writes it and the experiment cache keeps its trace in it (a
+single-archive trace is a 1-segment store).  Simulation and feature
+building can produce and consume traces segment-at-a-time without ever
+materializing the full arrays, and every storage failure
 mode (torn write, bit flip, missing segment, stale manifest, ENOSPC) is
 detectable, injectable, and recoverable.  Recovery re-simulates only the
 damaged spans through the entity-keyed RNG, so a healed store is

@@ -52,7 +52,7 @@ def store_trace_digest(store: SegmentedTraceStore, *, strict: bool = False) -> s
     for name in sorted(store.sample_column_names()):
         column: np.ndarray | None = None
         for index in range(store.num_segments):
-            part = store.read_segment_array(index, f"samples/{name}")
+            part = store.sample_column(index, name)
             if column is None:
                 column = np.empty(total, dtype=part.dtype)
             column[dests[index]] = part
@@ -85,11 +85,7 @@ def store_trace_digest(store: SegmentedTraceStore, *, strict: bool = False) -> s
 
     recorded: dict[int, dict[str, np.ndarray]] = {}
     for index in range(store.num_segments):
-        with np.load(store.segment_path(index)) as data:
-            for key in data.files:
-                if key.startswith("recorded/"):
-                    _, node_str, name = key.split("/", 2)
-                    recorded.setdefault(int(node_str), {})[name] = data[key]
+        recorded.update(store.recorded_series(index))
     for node in sorted(recorded):
         for name in sorted(recorded[node]):
             _update_array(hasher, f"recorded/{node}/{name}", recorded[node][name])

@@ -33,6 +33,7 @@ from repro.store.segments import (
     write_segment,
 )
 from repro.telemetry.config import TraceConfig
+from repro.telemetry.simulator import record_span_metrics
 from repro.topology.sharding import plan_shards
 from repro.utils.errors import SimulatedCrashError, ValidationError
 from repro.utils.io import sha256_file
@@ -134,6 +135,7 @@ def simulate_trace_to_store(
         )
         path = root / segment_file_name(span.index)
         entry = write_segment(path, result, span, limit_bytes=limit)
+        record_span_metrics(result)
         journal.record(str(span.index), entry)
         done[span.index] = entry
         committed_this_run += 1

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry, get_registry
 from repro.telemetry.config import TraceConfig
 from repro.telemetry.simulator import (
     ShardResult,
@@ -106,6 +106,16 @@ def _group(data, prefix: str) -> dict[str, np.ndarray]:
     }
 
 
+def _recorded(data) -> dict[int, dict[str, np.ndarray]]:
+    """The ``recorded/<node>/<name>`` members of an open npz, by node."""
+    recorded: dict[int, dict[str, np.ndarray]] = {}
+    for key in data.files:
+        if key.startswith("recorded/"):
+            _, node_str, name = key.split("/", 2)
+            recorded.setdefault(int(node_str), {})[name] = data[key]
+    return recorded
+
+
 def _result_to_arrays(result: ShardResult) -> dict[str, np.ndarray]:
     """Name a :class:`ShardResult`'s arrays for one npz."""
     arrays: dict[str, np.ndarray] = {
@@ -137,11 +147,6 @@ def _arrays_to_result(
     ``np.load`` handle); arrays are read lazily, one zip member at a
     time.
     """
-    recorded: dict[int, dict[str, np.ndarray]] = {}
-    for key in data.files:
-        if key.startswith("recorded/"):
-            _, node_str, name = key.split("/", 2)
-            recorded.setdefault(int(node_str), {})[name] = data[key]
     return ShardResult(
         lo=lo,
         hi=hi,
@@ -152,7 +157,7 @@ def _arrays_to_result(
         temp_sum=data["temp_sum"],
         power_sum=data["power_sum"],
         node_susceptibility=data["node_susceptibility"],
-        recorded=recorded,
+        recorded=_recorded(data),
         app_names=list(app_names),
         num_ticks=int(data["num_ticks"]),
         stage_seconds={
@@ -280,10 +285,11 @@ class SegmentedTraceStore:
                 raise TraceIOError(
                     self.manifest_path, f"unreadable store manifest: {exc}"
                 ) from exc
-            if not isinstance(raw, dict) or "segments" not in raw:
-                raise TraceIOError(
-                    self.manifest_path, "store manifest lacks a 'segments' entry"
-                )
+            for entry in ("config", "app_names", "segments"):
+                if not isinstance(raw, dict) or entry not in raw:
+                    raise TraceIOError(
+                        self.manifest_path, f"store manifest lacks a {entry!r} entry"
+                    )
             if int(raw.get("format", -1)) != STORE_FORMAT:
                 raise TraceIOError(
                     self.manifest_path,
@@ -406,6 +412,21 @@ class SegmentedTraceStore:
                 path, f"cannot read array {name!r}: {exc}", index=index
             ) from exc
 
+    def sample_column(self, index: int, name: str) -> np.ndarray:
+        """One samples-table column of a segment (segment-local order)."""
+        return self.read_segment_array(index, f"samples/{name}")
+
+    def recorded_series(self, index: int) -> dict[int, dict[str, np.ndarray]]:
+        """One segment's full recorded-node series, keyed by node id."""
+        path = self.segment_path(index)
+        try:
+            with np.load(path) as data:
+                return _recorded(data)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise SegmentCorruptionError(
+                path, f"cannot read recorded series: {exc}", index=index
+            ) from exc
+
     def segment_table(self, index: int, table: str) -> dict[str, np.ndarray]:
         """One segment's ``samples`` or ``runs`` columns (segment-local order).
 
@@ -520,6 +541,8 @@ class SegmentedTraceStore:
         :class:`DegradedDataWarning` — or raise
         :class:`SegmentCorruptionError` in strict mode.  The merged
         result is bit-identical to ``TraceSimulator(config).run()``.
+        Reading is not simulating: the merge records no ``repro_sim_*``
+        metrics (the pipeline that wrote the segments did).
         """
         config = self.config()
         results: list[ShardResult] = []
@@ -531,7 +554,9 @@ class SegmentedTraceStore:
                     raise
                 self.recover_segment(index, detail=str(exc))
                 results.append(self.load_shard_result(index))
-        trace = merge_shard_results(config, results)
+        trace = merge_shard_results(
+            config, results, registry=MetricsRegistry(mode="off")
+        )
         trace.meta["store"] = str(self.root)
         return trace
 

@@ -73,6 +73,7 @@ __all__ = [
     "simulate_trace",
     "merge_shard_results",
     "merge_runs",
+    "record_span_metrics",
     "row_destinations",
 ]
 
@@ -655,53 +656,46 @@ def merge_runs(order, shard_runs: list[dict[str, np.ndarray]]) -> dict[str, np.n
     return merged
 
 
-def _record_sim_metrics(
-    registry,
-    results: list[ShardResult],
-    trace: Trace,
-    stage_seconds: dict[str, float],
-) -> None:
-    """Publish simulator metrics after a merge.
+def record_span_metrics(result: ShardResult, registry=None) -> None:
+    """Publish one simulated span's rows, rate and stage wall times.
 
     Runs in the parent process only — shard workers may live in a
     process pool whose registries vanish — so ``--jobs N`` records
-    exactly what ``--jobs 1`` records.  Row/run counts are
-    deterministic; stage wall times and rows/sec are ``wall=True`` and
-    therefore excluded from snapshot digests.
+    exactly what ``--jobs 1`` records.  Called once per span by
+    :func:`merge_shard_results` and by the segment store pipeline as it
+    commits each span; reading a stored trace back records nothing.
+    Row counts are deterministic; stage wall times and rows/sec are
+    ``wall=True`` and therefore excluded from snapshot digests.
     """
+    registry = registry if registry is not None else get_registry()
     if not registry.enabled:
         return
+    rows = int(result.block_size.sum())
+    span_label = f"{result.lo}:{result.hi}"
     registry.counter(
         "repro_sim_rows_total", "Sample rows produced by the simulator."
-    ).inc(trace.num_samples)
+    ).inc(rows)
     registry.counter(
-        "repro_sim_runs_total", "Scheduled runs completed."
-    ).inc(trace.num_runs)
-    registry.counter(
-        "repro_sim_merges_total", "Shard merges performed."
-    ).inc()
-    shard_rows = registry.counter(
         "repro_sim_shard_rows_total", "Sample rows produced per node span."
-    )
-    shard_rate = registry.gauge(
-        "repro_sim_shard_rows_per_sec",
-        "Sample rows per wall second, per node span (last merge).",
-        wall=True,
-    )
-    for result in results:
-        span_label = f"{result.lo}:{result.hi}"
-        rows = int(result.block_size.sum())
-        shard_rows.inc(rows, shard=span_label)
-        seconds = sum(result.stage_seconds.values())
-        if seconds > 0:
-            shard_rate.set(rows / seconds, shard=span_label)
-    stage_counter = registry.counter(
+    ).inc(rows, shard=span_label)
+    seconds = sum(result.stage_seconds.values())
+    if seconds > 0:
+        registry.gauge(
+            "repro_sim_shard_rows_per_sec",
+            "Sample rows per wall second, per node span (last merge).",
+            wall=True,
+        ).set(rows / seconds, shard=span_label)
+    stage_counter = _stage_counter(registry)
+    for stage, stage_seconds in result.stage_seconds.items():
+        stage_counter.inc(stage_seconds, stage=stage)
+
+
+def _stage_counter(registry):
+    return registry.counter(
         "repro_sim_stage_seconds_total",
         "Wall time spent per simulator stage.",
         wall=True,
     )
-    for stage, seconds in stage_seconds.items():
-        stage_counter.inc(seconds, stage=stage)
 
 
 def merge_shard_results(
@@ -789,12 +783,17 @@ def merge_shard_results(
     stage_seconds["collate"] += spans.get("collate")
     trace.meta["stage_seconds"] = stage_seconds
     trace.meta["shards"] = len(results)
-    _record_sim_metrics(
-        registry if registry is not None else get_registry(),
-        results,
-        trace,
-        stage_seconds,
-    )
+    registry = registry if registry is not None else get_registry()
+    for result in results:
+        record_span_metrics(result, registry)
+    if registry.enabled:
+        registry.counter(
+            "repro_sim_runs_total", "Scheduled runs completed."
+        ).inc(trace.num_runs)
+        registry.counter(
+            "repro_sim_merges_total", "Shard merges performed."
+        ).inc()
+        _stage_counter(registry).inc(spans.get("collate"), stage="collate")
     return trace
 
 

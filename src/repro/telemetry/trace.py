@@ -1,4 +1,4 @@
-"""Columnar trace container with save/load.
+"""Columnar trace container.
 
 A :class:`Trace` is the output of one simulation: a **samples** table with
 one row per ``(application run, node)`` pair — the paper's unit of
@@ -6,21 +6,21 @@ prediction — a **runs** table with one row per aprun, the application
 catalog metadata, per-node cumulative telemetry aggregates (for the
 cabinet-grid figures), and optional full telemetry series for a few
 recorded nodes (for the run-profile figure).
+
+On disk a trace lives in a segment store
+(:class:`repro.store.SegmentedTraceStore`); this module owns only the
+in-memory container and the configuration's JSON form.
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.telemetry.config import TraceConfig
 from repro.topology.machine import Machine, MachineConfig
-from repro.utils.errors import TraceIOError, ValidationError
-from repro.utils.io import atomic_write, atomic_write_text, sha256_file
+from repro.utils.errors import ValidationError
 
 __all__ = [
     "Trace",
@@ -123,117 +123,13 @@ class Trace:
         )
         return totals
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Write the trace to ``<path>.npz`` plus a JSON config sidecar.
-
-        Both files are written atomically (temp file + rename) and the
-        sidecar records a SHA-256 checksum of the archive, so a crash or
-        concurrent writer can never leave a half-written trace that a
-        later :meth:`load` would silently accept.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        arrays: dict[str, np.ndarray] = {}
-        for name, col in self.samples.items():
-            arrays[f"samples/{name}"] = col
-        for name, col in self.runs.items():
-            arrays[f"runs/{name}"] = col
-        arrays["node_mean_temp"] = self.node_mean_temp
-        arrays["node_mean_power"] = self.node_mean_power
-        arrays["node_susceptibility"] = self.node_susceptibility
-        for node_id, series in self.recorded_series.items():
-            for name, col in series.items():
-                arrays[f"recorded/{node_id}/{name}"] = col
-        npz_path = path.with_suffix(".npz")
-        with atomic_write(npz_path) as npz_tmp:
-            with open(npz_tmp, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-        meta = {
-            "app_names": self.app_names,
-            "config": config_to_dict(self.config),
-            "checksum": sha256_file(npz_path),
-            "meta": self.meta,
-        }
-        atomic_write_text(path.with_suffix(".json"), json.dumps(meta, indent=2))
-
-    @classmethod
-    def load(cls, path: str | Path, *, verify_checksum: bool = True) -> "Trace":
-        """Load a trace previously written with :meth:`save`.
-
-        A missing, truncated, or corrupt archive raises
-        :class:`~repro.utils.errors.TraceIOError` carrying the offending
-        path, never a raw ``zipfile``/``numpy``/``json`` exception.  When
-        the sidecar records a checksum it is verified first (disable with
-        ``verify_checksum=False``).
-        """
-        path = Path(path)
-        json_path = path.with_suffix(".json")
-        npz_path = path.with_suffix(".npz")
-        try:
-            meta = json.loads(json_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise TraceIOError(json_path, f"unreadable trace metadata: {exc}") from exc
-        if not isinstance(meta, dict) or "config" not in meta:
-            raise TraceIOError(json_path, "trace metadata lacks a 'config' entry")
-        expected = meta.get("checksum")
-        if verify_checksum and expected:
-            try:
-                actual = sha256_file(npz_path)
-            except OSError as exc:
-                raise TraceIOError(npz_path, f"unreadable trace archive: {exc}") from exc
-            if actual != expected:
-                raise TraceIOError(
-                    npz_path,
-                    f"trace archive checksum mismatch: "
-                    f"expected {expected}, actual {actual}",
-                )
-        try:
-            with np.load(npz_path) as data:
-                samples: dict[str, np.ndarray] = {}
-                runs: dict[str, np.ndarray] = {}
-                recorded: dict[int, dict[str, np.ndarray]] = {}
-                extras: dict[str, np.ndarray] = {}
-                for key in data.files:
-                    if key.startswith("samples/"):
-                        samples[key.split("/", 1)[1]] = data[key]
-                    elif key.startswith("runs/"):
-                        runs[key.split("/", 1)[1]] = data[key]
-                    elif key.startswith("recorded/"):
-                        _, node_str, name = key.split("/", 2)
-                        recorded.setdefault(int(node_str), {})[name] = data[key]
-                    else:
-                        extras[key] = data[key]
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise TraceIOError(
-                npz_path, f"corrupt or truncated trace archive: {exc}"
-            ) from exc
-        try:
-            return cls(
-                config=config_from_dict(meta["config"]),
-                samples=samples,
-                runs=runs,
-                app_names=list(meta["app_names"]),
-                node_mean_temp=extras["node_mean_temp"],
-                node_mean_power=extras["node_mean_power"],
-                node_susceptibility=extras["node_susceptibility"],
-                recorded_series=recorded,
-                meta=dict(meta.get("meta") or {}),
-            )
-        except (KeyError, TypeError, ValidationError) as exc:
-            raise TraceIOError(
-                npz_path, f"trace archive has missing or invalid contents: {exc}"
-            ) from exc
-
 
 def config_to_dict(config: TraceConfig) -> dict:
     """JSON-serializable form of a :class:`TraceConfig`.
 
-    Shared by the trace sidecar, the content-addressed cache, and the
-    segmented store manifest, so every on-disk artifact describes its
-    configuration the same way.
+    Shared by the content-addressed cache keys and the segment store
+    manifest, so every on-disk artifact describes its configuration the
+    same way.
     """
     from dataclasses import asdict
 
@@ -244,7 +140,7 @@ def config_to_dict(config: TraceConfig) -> dict:
     # asdict() recurses into the scenario but loses the event types; emit
     # the kind-tagged form instead — and only when the scenario actually
     # scripts something, so scenario=None and an empty Scenario() produce
-    # byte-identical sidecars and cache keys (the neutrality invariant).
+    # byte-identical manifests and cache keys (the neutrality invariant).
     raw.pop("scenario", None)
     if config.scenario is not None and not config.scenario.empty:
         raw["scenario"] = scenario_to_dict(config.scenario)

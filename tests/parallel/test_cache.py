@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.presets import preset_config
 from repro.experiments.runner import ExperimentContext
 from repro.parallel.cache import ContentCache, config_digest
+from repro.store import SegmentedTraceStore
 from repro.telemetry.config import TraceConfig
 from repro.utils.errors import DegradedDataWarning
 
@@ -31,30 +32,37 @@ class TestConfigDigest:
 
 
 class TestTraceCache:
+    """The context's trace entry: a segment store at ``store_path``."""
+
     def test_miss_returns_none_silently(self, tmp_path):
         cache = ContentCache(tmp_path)
+        config = preset_config("tiny")
+        assert not SegmentedTraceStore(cache.store_path(config)).is_committed
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegradedDataWarning)
-            assert cache.load_trace(preset_config("tiny")) is None
+            ExperimentContext("tiny", cache_dir=tmp_path).trace
+        assert SegmentedTraceStore(cache.store_path(config)).is_committed
 
     def test_round_trip(self, tmp_path, tiny_trace):
-        cache = ContentCache(tmp_path)
-        config = tiny_trace.config
-        cache.store_trace(config, tiny_trace)
-        loaded = cache.load_trace(config)
-        assert loaded is not None
+        ExperimentContext("tiny", cache_dir=tmp_path).trace
+        loaded = ExperimentContext("tiny", cache_dir=tmp_path).trace
+        assert loaded.meta["store"] == str(
+            ContentCache(tmp_path).store_path(tiny_trace.config)
+        )
         assert loaded.num_samples == tiny_trace.num_samples
         assert np.array_equal(
             loaded.samples["sbe_count"], tiny_trace.samples["sbe_count"]
         )
 
     def test_corrupt_entry_warns_and_recomputes(self, tmp_path, tiny_trace):
-        cache = ContentCache(tmp_path)
-        config = tiny_trace.config
-        path = cache.store_trace(config, tiny_trace)
-        path.with_suffix(".npz").write_bytes(b"junk")
+        ExperimentContext("tiny", cache_dir=tmp_path).trace
+        store = SegmentedTraceStore(ContentCache(tmp_path).store_path(tiny_trace.config))
+        store.segment_path(0).write_bytes(b"junk")
         with pytest.warns(DegradedDataWarning, match="re-simulating"):
-            assert cache.load_trace(config) is None
+            loaded = ExperimentContext("tiny", cache_dir=tmp_path).trace
+        assert np.array_equal(
+            loaded.samples["sbe_count"], tiny_trace.samples["sbe_count"]
+        )
 
 
 class TestFeatureCache:
@@ -102,7 +110,7 @@ class TestContextIntegration:
         cold = ExperimentContext("tiny", cache_dir=tmp_path)
         cold_result = cold.twostage("DS1", "lr")
         files = {p.name for p in tmp_path.iterdir()}
-        assert any(name.startswith("trace-") for name in files)
+        assert any(name.startswith("store-") for name in files)
         assert any(name.startswith("features-") for name in files)
 
         warm = ExperimentContext("tiny", cache_dir=tmp_path)

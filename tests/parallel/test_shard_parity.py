@@ -7,6 +7,9 @@ whole parallel layer — everything downstream (parallel experiments, the
 content-addressed cache, the golden digests) assumes it.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from repro.topology.machine import MachineConfig
 from repro.topology.sharding import plan_shards
 from repro.utils.errors import SimulationError
 
+from tests.golden.canonical import trace_digest
 from tests.parallel._compare import assert_traces_bit_identical
 
 
@@ -150,3 +154,10 @@ class TestProcessPoolParity:
         stages = trace.meta["stage_seconds"]
         assert set(stages) == {"simulate", "sample", "collate"}
         assert all(seconds >= 0.0 for seconds in stages.values())
+
+    def test_default_jobs_runs_in_process_and_matches_the_pin(self):
+        """Omitting ``jobs`` simulates the shards serially, in-process."""
+        pins = Path(__file__).parents[1] / "golden" / "trace_digests.json"
+        trace = simulate_trace_sharded(preset_config("tiny"), shards=2)
+        assert trace_digest(trace) == json.loads(pins.read_text())["tiny"]
+        assert trace.meta["shards"] == 2

@@ -162,6 +162,15 @@ class TestRecovery:
         assert "expected" in message and "actual" in message
         assert "seg-0002.npz" in message
 
+    def test_truncated_segment_reports_expected_and_actual(self, store_copy):
+        npz = store_copy.segment_path(1)
+        npz.write_bytes(npz.read_bytes()[:-7])
+        with pytest.raises(SegmentCorruptionError) as excinfo:
+            store_copy.load_trace(strict=True)
+        message = str(excinfo.value)
+        assert "expected" in message and "actual" in message
+        assert str(npz) in message
+
     def test_recover_rewrites_manifest_checksum(self, store_copy):
         inject_disk_fault(store_copy, DiskFaultSpec("torn", seed=1, segment=1))
         with pytest.warns(DegradedDataWarning):
@@ -186,16 +195,3 @@ class TestRecovery:
         fresh = SegmentedTraceStore(store_copy.root)
         with pytest.raises(TraceIOError, match="unsupported store format"):
             fresh.manifest()
-
-
-class TestMonolithicChecksumMessage:
-    def test_trace_load_reports_expected_and_actual(self, serial_trace, tmp_path):
-        path = tmp_path / "trace"
-        serial_trace.save(path)
-        npz = path.with_suffix(".npz")
-        npz.write_bytes(npz.read_bytes()[:-7])
-        with pytest.raises(TraceIOError) as excinfo:
-            __import__("repro.telemetry.trace", fromlist=["Trace"]).Trace.load(path)
-        message = str(excinfo.value)
-        assert "expected" in message and "actual" in message
-        assert str(npz) in message

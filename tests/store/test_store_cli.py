@@ -1,4 +1,5 @@
-"""``repro store`` subcommands and the top-level ``--strict`` flag."""
+"""``repro simulate`` into a store, the ``repro store`` subcommands, and
+the top-level ``--strict`` flag."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ def cli_store(tmp_path_factory) -> str:
             [
                 "--preset",
                 "tiny",
-                "store",
                 "simulate",
                 "--out",
                 str(root),
@@ -95,7 +95,6 @@ class TestStoreCli:
             [
                 "--preset",
                 "tiny",
-                "store",
                 "simulate",
                 "--out",
                 str(root),
@@ -113,7 +112,6 @@ class TestStoreCli:
                 [
                     "--preset",
                     "tiny",
-                    "store",
                     "simulate",
                     "--out",
                     str(root),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.store import simulate_trace_to_store
 from repro.telemetry.trace import PRE_WINDOWS_MINUTES, SAMPLE_TELEMETRY_COLUMNS, Trace
 from repro.utils.errors import ValidationError
 
@@ -117,9 +118,8 @@ class TestRecordedSeries:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tiny_trace, tmp_path):
-        path = tmp_path / "trace"
-        tiny_trace.save(path)
-        loaded = Trace.load(path)
+        store = simulate_trace_to_store(tiny_trace.config, tmp_path / "trace", segments=1)
+        loaded = store.load_trace()
         assert loaded.num_samples == tiny_trace.num_samples
         assert loaded.num_runs == tiny_trace.num_runs
         assert loaded.app_names == tiny_trace.app_names
@@ -174,11 +174,19 @@ class TestStageTimers:
         assert tiny_trace.meta["shards"] == 1
 
     def test_meta_survives_save_and_load(self, tiny_trace, tmp_path):
-        from repro.telemetry.trace import Trace
+        """The simulator's meta keys survive a store round trip.
 
-        tiny_trace.save(tmp_path / "trace")
-        loaded = Trace.load(tmp_path / "trace")
-        assert loaded.meta == tiny_trace.meta
+        ``collate`` is re-timed by the merge on load and ``store`` names
+        the directory read, so only the keys and the shard count are
+        compared exactly.
+        """
+        root = tmp_path / "trace"
+        loaded = simulate_trace_to_store(tiny_trace.config, root, segments=1).load_trace()
+        assert set(loaded.meta) == set(tiny_trace.meta) | {"store"}
+        assert loaded.meta["shards"] == tiny_trace.meta["shards"]
+        assert loaded.meta["store"] == str(root)
+        assert set(loaded.meta["stage_seconds"]) == set(tiny_trace.meta["stage_seconds"])
+        assert all(seconds >= 0.0 for seconds in loaded.meta["stage_seconds"].values())
 
     def test_meta_excluded_from_content_digests(self, tiny_trace):
         """Wall times vary run to run; content digests must not."""

@@ -1,79 +1,81 @@
-"""Tests for hardened trace persistence: atomicity, checksums, errors."""
+"""Tests for hardened trace persistence: atomicity, checksums, errors.
+
+A trace on disk is a segment store; these cases pin its failure
+reporting on a 1-segment store (the shape of a plain ``simulate``).
+"""
 
 import json
+import shutil
 
 import pytest
 
-from repro.telemetry.trace import Trace
-from repro.utils.errors import ReproError, TraceIOError
+from repro.store import SegmentedTraceStore, simulate_trace_to_store
+from repro.utils.errors import ReproError, SegmentCorruptionError, TraceIOError
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory, tiny_trace):
+    root = tmp_path_factory.mktemp("trace-io") / "store"
+    simulate_trace_to_store(tiny_trace.config, root, segments=1)
+    return root
 
 
 @pytest.fixture()
-def saved(tmp_path, tiny_trace):
-    path = tmp_path / "trace"
-    tiny_trace.save(path)
-    return path
+def saved(pristine, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(pristine, root)
+    return SegmentedTraceStore(root)
 
 
 class TestSave:
     def test_roundtrip(self, saved, tiny_trace):
-        loaded = Trace.load(saved)
+        loaded = saved.load_trace(strict=True)
         assert loaded.num_samples == tiny_trace.num_samples
         assert loaded.config.seed == tiny_trace.config.seed
 
     def test_checksum_recorded(self, saved):
-        meta = json.loads(saved.with_suffix(".json").read_text())
-        assert len(meta["checksum"]) == 64
+        manifest = json.loads(saved.manifest_path.read_text())
+        (entry,) = manifest["segments"]
+        assert len(entry["checksum"]) == 64
 
     def test_no_temp_files_left(self, saved):
-        leftovers = [p for p in saved.parent.iterdir() if p.suffix == ".tmp"]
+        leftovers = [p for p in saved.root.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
 
 class TestLoadFailures:
     def test_missing_archive(self, tmp_path):
+        missing = SegmentedTraceStore(tmp_path / "nothing")
         with pytest.raises(TraceIOError) as excinfo:
-            Trace.load(tmp_path / "nothing")
-        assert str(tmp_path / "nothing.json") in str(excinfo.value)
-        assert excinfo.value.path == tmp_path / "nothing.json"
+            missing.load_trace()
+        assert str(missing.manifest_path) in str(excinfo.value)
+        assert excinfo.value.path == missing.manifest_path
 
     def test_truncated_npz(self, saved):
-        npz = saved.with_suffix(".npz")
+        npz = saved.segment_path(0)
         npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
-        with pytest.raises(TraceIOError) as excinfo:
-            Trace.load(saved)
+        with pytest.raises(SegmentCorruptionError) as excinfo:
+            saved.load_trace(strict=True)
         assert excinfo.value.path == npz
 
     def test_garbage_json(self, saved):
-        saved.with_suffix(".json").write_text("{not json")
+        saved.manifest_path.write_text("{not json")
         with pytest.raises(TraceIOError):
-            Trace.load(saved)
+            SegmentedTraceStore(saved.root).load_trace()
 
     def test_json_without_config(self, saved):
-        saved.with_suffix(".json").write_text(json.dumps({"app_names": []}))
+        raw = json.loads(saved.manifest_path.read_text())
+        del raw["config"]
+        saved.manifest_path.write_text(json.dumps(raw))
         with pytest.raises(TraceIOError, match="config"):
-            Trace.load(saved)
+            SegmentedTraceStore(saved.root).load_trace()
 
     def test_checksum_mismatch(self, saved):
-        meta = json.loads(saved.with_suffix(".json").read_text())
-        meta["checksum"] = "0" * 64
-        saved.with_suffix(".json").write_text(json.dumps(meta))
+        raw = json.loads(saved.manifest_path.read_text())
+        raw["segments"][0]["checksum"] = "0" * 64
+        saved.manifest_path.write_text(json.dumps(raw))
         with pytest.raises(TraceIOError, match="checksum"):
-            Trace.load(saved)
-
-    def test_checksum_verification_can_be_skipped(self, saved):
-        meta = json.loads(saved.with_suffix(".json").read_text())
-        meta["checksum"] = "0" * 64
-        saved.with_suffix(".json").write_text(json.dumps(meta))
-        loaded = Trace.load(saved, verify_checksum=False)
-        assert loaded.num_samples > 0
-
-    def test_legacy_sidecar_without_checksum_loads(self, saved):
-        meta = json.loads(saved.with_suffix(".json").read_text())
-        del meta["checksum"]
-        saved.with_suffix(".json").write_text(json.dumps(meta))
-        loaded = Trace.load(saved)
-        assert loaded.num_samples > 0
+            SegmentedTraceStore(saved.root).load_trace(strict=True)
 
     def test_trace_io_error_is_repro_error(self):
         assert issubclass(TraceIOError, ReproError)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store import SegmentedTraceStore
 
 
 class TestParser:
@@ -16,6 +17,8 @@ class TestParser:
         )
         assert args.command == "simulate"
         assert args.preset == "tiny"
+        assert args.segments is None  # resolved to --jobs at dispatch
+        assert args.resume is False
 
     def test_experiment_args(self):
         args = build_parser().parse_args(["experiment", "fig1", "table2"])
@@ -105,7 +108,7 @@ class TestMain:
         out = tmp_path / "trace"
         code = main(["--preset", "tiny", "--no-cache", "simulate", "--out", str(out)])
         assert code == 0
-        assert out.with_suffix(".npz").exists()
+        assert SegmentedTraceStore(out).num_segments == 1
         assert "samples" in capsys.readouterr().out
 
     def test_evaluate_basic(self, tmp_path, capsys, monkeypatch):

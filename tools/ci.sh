@@ -45,11 +45,17 @@ echo "== parallel smoke (--jobs 2) =="
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 python -m repro.cli --preset tiny --jobs 2 simulate \
-    --out "$workdir/trace-sharded" --shards 2
+    --out "$workdir/trace-sharded" --segments 2
 python -m repro.cli --preset tiny --jobs 2 simulate \
-    --out "$workdir/trace-scenario" --shards 2 --scenario regime-change
+    --out "$workdir/trace-scenario" --segments 2 --scenario regime-change
 REPRO_CACHE_DIR="$workdir/cache" python -m repro.cli --preset tiny --jobs 2 \
-    experiment fig1 fig3
+    experiment fig1 fig3 > "$workdir/fig-cold.txt"
+# Warm rerun on the cached store: --strict turns any repair warning into
+# exit 1, and the output must match the cold run's.
+REPRO_CACHE_DIR="$workdir/cache" python -m repro.cli --preset tiny --strict \
+    experiment fig1 fig3 > "$workdir/fig-warm.txt"
+diff "$workdir/fig-cold.txt" "$workdir/fig-warm.txt"
+cat "$workdir/fig-warm.txt"
 
 echo
 echo "== serve-replay smoke =="
@@ -213,7 +219,7 @@ echo
 echo "== disk-fault smoke =="
 # Segmented store: inject a bit flip, require verify to flag it, recover,
 # and require the healed digest to match the pristine one bit for bit.
-python -m repro.cli --preset tiny store simulate \
+python -m repro.cli --preset tiny simulate \
     --out "$workdir/store" --segments 4
 d0="$(python -m repro.cli store digest --store "$workdir/store")"
 python -m repro.cli store inject --store "$workdir/store" \

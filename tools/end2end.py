@@ -1,14 +1,20 @@
-"""End-to-end check of Table I + Fig 10 on DS1 (cached trace)."""
-import os, time
-import numpy as np
-from repro.telemetry import TraceConfig, simulate_trace, Trace
+"""End-to-end check of Table I + Fig 10 on DS1 (cached trace).
+
+The trace is simulated once into a segment store under ``.cache/`` at
+the repo root and read back from it on later runs.
+"""
+import time
+from pathlib import Path
+
+from repro.store import SegmentedTraceStore, simulate_trace_to_store
+from repro.telemetry import TraceConfig
 from repro.topology import MachineConfig
 from repro.features import build_features
 from repro.core import PredictionPipeline
 
-CACHE = "/root/repo/.cache/e2e_trace"
-if os.path.exists(CACHE + ".npz"):
-    trace = Trace.load(CACHE)
+CACHE = Path(__file__).resolve().parents[1] / ".cache" / "e2e_trace"
+if SegmentedTraceStore(CACHE).is_committed:
+    trace = SegmentedTraceStore(CACHE).load_trace()
     print("loaded cached trace")
 else:
     cfg = TraceConfig(
@@ -16,9 +22,8 @@ else:
                               slots_per_cage=1, nodes_per_slot=4),
         duration_days=126, tick_minutes=5, seed=2018)
     t0 = time.time()
-    trace = simulate_trace(cfg)
+    trace = simulate_trace_to_store(cfg, CACHE, segments=1).load_trace()
     print(f"simulated in {time.time()-t0:.0f}s")
-    trace.save(CACHE)
 
 t0 = time.time()
 features = build_features(trace)

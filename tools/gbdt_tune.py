@@ -1,12 +1,15 @@
+"""GBDT hyper-parameter probes on the trace cached by ``tools/end2end.py``."""
 import time
-import numpy as np
-from repro.telemetry import Trace
+from pathlib import Path
+
+from repro.store import SegmentedTraceStore
 from repro.features import build_features
 from repro.core import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
 from repro.ml import GradientBoostingClassifier
 
-trace = Trace.load("/root/repo/.cache/e2e_trace")
+CACHE = Path(__file__).resolve().parents[1] / ".cache" / "e2e_trace"
+trace = SegmentedTraceStore(CACHE).load_trace()
 features = build_features(trace)
 pipe = PredictionPipeline(features)
 train, test = pipe.train_test("DS1")
