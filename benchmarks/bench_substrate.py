@@ -28,7 +28,10 @@ def test_feature_build(benchmark, context):
 
 
 def test_history_index_batch_queries(benchmark):
-    """Vectorized history window queries (1e5 queries over 1e4 events)."""
+    """Vectorized history cut-point queries (1e5 rows x 2 cuts over 1e4 events).
+
+    Each row's window ``[start, end)`` is the difference of its two cuts.
+    """
     rng = np.random.default_rng(0)
     n_events, n_queries = 10_000, 100_000
     index = HistoryIndex(
@@ -38,5 +41,5 @@ def test_history_index_batch_queries(benchmark):
     )
     keys = rng.integers(0, 500, n_queries)
     starts = rng.uniform(0, 9e4, n_queries)
-    ends = starts + 1440.0
-    benchmark(lambda: index.batch_between(keys, starts, ends))
+    cuts = np.stack((starts + 1440.0, starts))
+    benchmark(lambda: index.counts_before(keys, cuts))

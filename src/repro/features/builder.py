@@ -94,9 +94,18 @@ _TP_COLUMNS: tuple[tuple[str, str], ...] = (
     )
 )
 
-#: History window lengths; :func:`history_counts` keys are
-#: ``f"{scope}_{length}"`` for the scopes node, app and machine.
+#: History window lengths, each counted for the scopes node, app and
+#: machine (:func:`history_counts`).
 _HISTORY_LENGTHS = ("today", "yesterday", "before")
+
+#: Sample columns copied into each row as-is, in schema order.
+_ROW_COPY_COLUMNS = _APP_COLUMNS + tuple(name for name, _ in _TP_COLUMNS)
+
+#: Location columns: cabinet x/y, cage, slot, node in slot, node code.
+_LOCATION_WIDTH = 6
+
+#: History rows: the nine :func:`history_counts` plus ``alloc_today``.
+_HISTORY_WIDTH = 3 * len(_HISTORY_LENGTHS) + 1
 
 
 def compute_top_apps(app_ids: np.ndarray, top_k: int) -> np.ndarray:
@@ -144,45 +153,51 @@ def feature_block(
     rows: dict[str, np.ndarray],
     machine,
     top_apps: np.ndarray,
-    history: dict[str, np.ndarray],
+    history: np.ndarray,
 ) -> np.ndarray:
     """Feature rows for a block of sample rows, in :func:`feature_schema` order.
 
     ``rows`` maps sample column names to per-row arrays: the whole
     samples table, one store segment, or one
-    :class:`~repro.serve.events.RunCompleted` payload.  ``history`` holds
-    the rows' :func:`history_counts` plus their ``alloc_today`` run mean
-    (:func:`alloc_history`); counts are ``log1p``-compressed here.
+    :class:`~repro.serve.events.RunCompleted` payload.  ``history`` is
+    ``(10, n)``: the rows' :func:`history_counts` then their
+    ``alloc_today`` run mean (:func:`alloc_history`), ``log1p``-compressed
+    here.  The block is one preallocated matrix filled by column group.
     """
     app_id = np.asarray(rows["app_id"], dtype=int)
     prev_app = np.asarray(rows["prev_app_id"], dtype=int)
     node_id = np.asarray(rows["node_id"], dtype=int)
+    top_apps = np.asarray(top_apps, dtype=int)
     cfg = machine.config
     within = node_id % cfg.nodes_per_cabinet
     per_cage = cfg.slots_per_cage * cfg.nodes_per_slot
-    return np.column_stack(
-        [
-            app_id,
-            *(app_id == app for app in top_apps),
-            prev_app,
-            prev_app == app_id,
-            *(rows[name] for name in _APP_COLUMNS),
-            *(rows[name] for name, _ in _TP_COLUMNS),
-            # Location: cabinet x/y, cage, slot, node in slot, node code.
-            machine.cabinet_x[node_id],
-            machine.cabinet_y[node_id],
-            within // per_cage,
-            (within % per_cage) // cfg.nodes_per_slot,
-            within % cfg.nodes_per_slot,
-            node_id,
-            *(
-                np.log1p(history[f"{scope}_{length}"])
-                for length in _HISTORY_LENGTHS
-                for scope in ("node", "app", "machine")
-            ),
-            np.log1p(history["alloc_today"]),
-        ]
-    )
+    copied = len(_ROW_COPY_COLUMNS)
+    width = top_apps.size + 3 + copied + _LOCATION_WIDTH + _HISTORY_WIDTH
+    X = np.empty((node_id.size, width), dtype=float)
+    columns = X.T  # one row per feature column
+    at = top_apps.size + 1
+    columns[0] = app_id
+    columns[1:at] = top_apps[:, None] == app_id
+    columns[at] = prev_app
+    columns[at + 1] = prev_app == app_id
+    at += 2
+    # Column by column: assigning a list of columns would first stack
+    # them into a temporary as large as the group.
+    for name in _ROW_COPY_COLUMNS:
+        columns[at] = rows[name]
+        at += 1
+    for location in (
+        machine.cabinet_x[node_id],
+        machine.cabinet_y[node_id],
+        within // per_cage,
+        (within % per_cage) // cfg.nodes_per_slot,
+        within % cfg.nodes_per_slot,
+        node_id,
+    ):
+        columns[at] = location
+        at += 1
+    np.log1p(history, out=columns[at:])
+    return X
 
 
 def history_counts(
@@ -191,30 +206,33 @@ def history_counts(
     node_id: np.ndarray,
     app_id: np.ndarray,
     start: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """The nine causal SBE counts of each row, keyed ``"{scope}_{length}"``.
+) -> np.ndarray:
+    """The nine causal SBE counts of each row, as an int64 ``(9, n)``.
 
-    Scopes are the row's node, its app and the whole machine; lengths are
-    the day before the run start (``today``), the day before that
-    (``yesterday``) and everything earlier (``before``).  The indices are
+    Lengths are the day before the run start (``today``), the day before
+    that (``yesterday``) and everything earlier (``before``); within each
+    length the scopes are the row's node, its app and the whole machine,
+    which is the schema order.  The indices are
     :class:`~repro.features.history.HistoryIndex` (batch, out of core) or
     :class:`~repro.features.history.IncrementalHistoryIndex` (streaming);
-    both count an event toward ``[lo, hi)`` when ``lo <= t < hi``, so an
+    both count an event before a cut point ``c`` when ``t < c``, so an
     SBE stamped at the run start is not yet visible.
     """
     start = np.asarray(start, dtype=float)
     day = MINUTES_PER_DAY
-    windows = (
-        (start - day, start),
-        (start - 2 * day, start - day),
-        (np.full(start.shape, -np.inf), start - 2 * day),
-    )
-    counts: dict[str, np.ndarray] = {}
-    for length, (lo, hi) in zip(_HISTORY_LENGTHS, windows):
-        counts[f"node_{length}"] = node_index.batch_between(node_id, lo, hi)
-        counts[f"app_{length}"] = app_index.batch_between(app_id, lo, hi)
-        counts[f"machine_{length}"] = node_index.global_batch_between(lo, hi)
-    return counts
+    # Counts before the cut points s, s - 1 day and s - 2 days; each
+    # window is an exact integer difference of two of them.
+    cuts = np.array((start, start - day, start - 2 * day))
+    before = np.array(
+        (
+            node_index.counts_before(node_id, cuts),
+            app_index.counts_before(app_id, cuts),
+            node_index.global_counts_before(cuts),
+        )
+    ).swapaxes(0, 1)  # (cut, scope, row)
+    counts = before.copy()
+    counts[:2] -= before[1:]
+    return counts.reshape(3 * len(_HISTORY_LENGTHS), start.size)
 
 
 def alloc_history(run_idx: np.ndarray, node_today: np.ndarray) -> np.ndarray:
@@ -229,7 +247,7 @@ def alloc_history(run_idx: np.ndarray, node_today: np.ndarray) -> np.ndarray:
     return sums[run_pos] / counts[run_pos]
 
 
-def _table_history(rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _table_history(rows: dict[str, np.ndarray]) -> np.ndarray:
     """History counts and ``alloc_today`` of every row of a whole table.
 
     The table's own positive rows, deduped per (job, node), seed the
@@ -242,15 +260,14 @@ def _table_history(rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         rows["sbe_count"],
         rows["app_id"],
     )
-    history = history_counts(
+    counts = history_counts(
         HistoryIndex(events.node_ids, events.minutes, events.counts),
         HistoryIndex(events.app_ids, events.minutes, events.counts),
         rows["node_id"],
         rows["app_id"],
         rows["start_minute"],
     )
-    history["alloc_today"] = alloc_history(rows["run_idx"], history["node_today"])
-    return history
+    return np.vstack((counts, alloc_history(rows["run_idx"], counts[0])))
 
 
 @dataclass
@@ -414,7 +431,7 @@ def build_features_from_store(
             store.segment_table(index, "samples"),
             machine,
             top_apps,
-            {key: counts[dest] for key, counts in history.items()},
+            history[:, dest],
         )
     matrix = FeatureMatrix(
         X=X, y=(meta["sbe_count"] > 0).astype(int), schema=schema, meta=meta

@@ -7,7 +7,8 @@ of the given application and the nodes allocated to it") must be computed
 completed — and therefore had its nvidia-smi delta resolved — are
 observable.  :class:`HistoryIndex` stores, per key (node id, app id, or
 the single global key), the time-sorted cumulative SBE counts of completed
-jobs and answers window-count queries with binary search;
+jobs and answers, by binary search, how many SBEs were stamped before
+given cut points (a window count is the difference of two);
 :class:`IncrementalHistoryIndex` answers the same queries for a stream.
 :func:`dedupe_job_events` turns sample rows into those per-(job, node)
 events for the batch builders and for the replayed event stream alike.
@@ -15,6 +16,7 @@ events for the batch builders and for the replayed event stream alike.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -92,8 +94,26 @@ def dedupe_job_events(
     )
 
 
+def _cut_array(cuts, size: int | None = None) -> np.ndarray:
+    """``cuts`` as a float ``(m, n)`` array: ``m`` cut points per row."""
+    cuts = np.asarray(cuts, dtype=float)
+    if cuts.ndim != 2 or (size is not None and cuts.shape[1] != size):
+        raise ValidationError(
+            f"cuts must be (points, rows) with {size} row(s), got shape "
+            f"{cuts.shape}"
+        )
+    return cuts
+
+
 class HistoryIndex:
-    """Per-key cumulative SBE counts over time with window queries."""
+    """Per-key cumulative SBE counts over time, queried at cut points.
+
+    ``counts_before(keys, cuts)[j, i]`` is the number of SBEs of key
+    ``keys[i]`` stamped strictly before ``cuts[j, i]``
+    (``searchsorted(..., side="left")``), so the count in a window
+    ``[lo, hi)`` is the difference of the counts before ``hi`` and
+    before ``lo``, and a ``-inf`` lower bound contributes 0.
+    """
 
     def __init__(self, keys: np.ndarray, minutes: np.ndarray, counts: np.ndarray) -> None:
         keys = np.asarray(keys, dtype=int)
@@ -101,6 +121,7 @@ class HistoryIndex:
         counts = np.asarray(counts, dtype=np.int64)
         if not (keys.shape == minutes.shape == counts.shape):
             raise ValidationError("index arrays must share one shape")
+        #: key -> (sorted event minutes, cumulative counts with a leading 0).
         self._series: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         order = np.lexsort((minutes, keys))
         keys, minutes, counts = keys[order], minutes[order], counts[order]
@@ -108,72 +129,50 @@ class HistoryIndex:
         for chunk in np.split(np.arange(keys.size), boundaries):
             if chunk.size == 0:
                 continue
-            key = int(keys[chunk[0]])
-            times = minutes[chunk]
-            self._series[key] = (times, np.cumsum(counts[chunk]))
+            self._series[int(keys[chunk[0]])] = (
+                minutes[chunk],
+                np.concatenate(([0], np.cumsum(counts[chunk]))),
+            )
         total_order = np.argsort(minutes, kind="mergesort")
-        self._global = (minutes[total_order], np.cumsum(counts[total_order]))
+        self._global = (
+            minutes[total_order],
+            np.concatenate(([0], np.cumsum(counts[total_order]))),
+        )
 
-    def count_between(self, key: int, start_minute: float, end_minute: float) -> int:
-        """SBEs for ``key`` whose event time falls in ``[start, end)``."""
-        series = self._series.get(int(key))
-        if series is None:
-            return 0
-        return self._window(series, start_minute, end_minute)
+    def counts_before(self, keys: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """SBEs of ``keys[i]`` stamped before ``cuts[j, i]``, as ``(m, n)``.
 
-    def global_between(self, start_minute: float, end_minute: float) -> int:
-        """Machine-wide SBEs in ``[start, end)``."""
-        return self._window(self._global, start_minute, end_minute)
-
-    def batch_between(
-        self, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`count_between` over parallel arrays.
-
-        Queries are grouped by key so each per-key series is searched with
-        one vectorized ``searchsorted`` pair, which is what makes building
-        history features for hundreds of thousands of samples cheap.
+        Rows are grouped by key, so each per-key series is searched once,
+        with every cut point of its rows.
         """
         keys = np.asarray(keys, dtype=int)
-        starts = np.asarray(starts, dtype=float)
-        ends = np.asarray(ends, dtype=float)
-        if not (keys.shape == starts.shape == ends.shape):
-            raise ValidationError("batch query arrays must share one shape")
-        out = np.zeros(keys.size, dtype=np.int64)
-        order = np.argsort(keys, kind="mergesort")
+        cuts = _cut_array(cuts, keys.size)
+        order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-        for chunk in np.split(order, boundaries):
-            if chunk.size == 0:
-                continue
-            series = self._series.get(int(keys[chunk[0]]))
+        sorted_cuts = cuts[:, order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], keys.size)
+        found = np.zeros(cuts.shape, dtype=np.int64)
+        for key, lo, hi in zip(
+            sorted_keys[starts].tolist(), starts.tolist(), ends.tolist()
+        ):
+            series = self._series.get(key)
             if series is None:
                 continue
             times, cums = series
-            padded = np.concatenate([[0], cums])
-            hi = np.searchsorted(times, ends[chunk], side="left")
-            lo = np.searchsorted(times, starts[chunk], side="left")
-            out[chunk] = padded[hi] - padded[lo]
+            found[:, lo:hi] = cums[
+                np.searchsorted(times, sorted_cuts[:, lo:hi], side="left")
+            ]
+        out = np.empty_like(found)
+        out[:, order] = found
         return out
 
-    def global_batch_between(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`global_between` over parallel arrays."""
+    def global_counts_before(self, cuts: np.ndarray) -> np.ndarray:
+        """Machine-wide SBEs stamped before each cut point, same shape."""
         times, cums = self._global
-        padded = np.concatenate([[0], cums])
-        hi = np.searchsorted(times, np.asarray(ends, dtype=float), side="left")
-        lo = np.searchsorted(times, np.asarray(starts, dtype=float), side="left")
-        return padded[hi] - padded[lo]
-
-    @staticmethod
-    def _window(
-        series: tuple[np.ndarray, np.ndarray], start: float, end: float
-    ) -> int:
-        times, cums = series
-        hi = int(np.searchsorted(times, end, side="left"))
-        lo = int(np.searchsorted(times, start, side="left"))
-        upper = int(cums[hi - 1]) if hi > 0 else 0
-        lower = int(cums[lo - 1]) if lo > 0 else 0
-        return upper - lower
+        return cums[np.searchsorted(times, np.asarray(cuts, dtype=float), side="left")]
 
 
 class IncrementalHistoryIndex:
@@ -182,25 +181,28 @@ class IncrementalHistoryIndex:
     The streaming feature engine cannot rebuild a batch index per event,
     so this class accepts one ``(key, minute, count)`` event at a time —
     in non-decreasing minute order, which is how an online collector sees
-    them — and answers the same window queries with the same semantics:
-    an event counts toward ``[start, end)`` when ``start <= t < end``
-    (``searchsorted(..., side="left")`` in the batch index, ``bisect_left``
-    here), so a batch index over the first *n* events and an incremental
-    index fed those same *n* events agree exactly.  Both expose
-    ``batch_between`` / ``global_batch_between``, the two calls
-    :func:`repro.features.builder.history_counts` makes.
+    them — and answers the same cut-point queries with the same
+    semantics: an event counts before a cut ``c`` when ``t < c``
+    (``searchsorted(..., side="left")`` in the batch index,
+    ``bisect_left`` here), so a batch index over the first *n* events and
+    an incremental index fed those same *n* events agree exactly.
+
+    A query answers all rows of one run at once; rows that share a key
+    and cut points (every row of a run, for the app and machine scopes)
+    are looked up once.
     """
 
     def __init__(self) -> None:
-        self._times: dict[int, list[float]] = {}
-        self._cums: dict[int, list[int]] = {}
-        self._global_times: list[float] = []
-        self._global_cums: list[int] = []
+        #: key -> (event minutes, cumulative counts with a leading 0); the
+        #: machine-wide series is keyed ``None``.
+        self._series: dict[int | None, tuple[list[float], list[int]]] = {
+            None: ([], [0])
+        }
         self._last_minute = -np.inf
 
     def __len__(self) -> int:
         """Number of events applied so far."""
-        return len(self._global_times)
+        return len(self._series[None][0])
 
     @property
     def last_minute(self) -> float:
@@ -208,70 +210,45 @@ class IncrementalHistoryIndex:
         return self._last_minute
 
     def add(self, key: int, minute: float, count: int) -> None:
-        """Apply one SBE event; minutes must be non-decreasing."""
+        """Apply one SBE event; minutes must be finite and non-decreasing."""
         minute = float(minute)
+        if not math.isfinite(minute):
+            raise ValidationError(f"event minute must be finite, got {minute}")
         if minute < self._last_minute:
             raise ValidationError(
                 f"events must arrive in time order: {minute} after "
                 f"{self._last_minute}"
             )
         self._last_minute = minute
-        times = self._times.setdefault(int(key), [])
-        cums = self._cums.setdefault(int(key), [])
-        times.append(minute)
-        cums.append((cums[-1] if cums else 0) + int(count))
-        self._global_times.append(minute)
-        self._global_cums.append(
-            (self._global_cums[-1] if self._global_cums else 0) + int(count)
-        )
+        count = int(count)
+        for series_key in (int(key), None):
+            times, cums = self._series.setdefault(series_key, ([], [0]))
+            times.append(minute)
+            cums.append(cums[-1] + count)
 
-    def count_between(self, key: int, start_minute: float, end_minute: float) -> int:
-        """SBEs for ``key`` whose event time falls in ``[start, end)``."""
-        times = self._times.get(int(key))
-        if not times:
-            return 0
-        return self._window(times, self._cums[int(key)], start_minute, end_minute)
+    def counts_before(self, keys: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        """SBEs of ``keys[i]`` stamped before ``cuts[j, i]``, as ``(m, n)``."""
+        keys = np.asarray(keys, dtype=int)
+        return self._answer(keys.tolist(), _cut_array(cuts, keys.size))
 
-    def global_between(self, start_minute: float, end_minute: float) -> int:
-        """Machine-wide SBEs in ``[start, end)``."""
-        return self._window(
-            self._global_times, self._global_cums, start_minute, end_minute
-        )
+    def global_counts_before(self, cuts: np.ndarray) -> np.ndarray:
+        """Machine-wide SBEs stamped before each cut point, same shape."""
+        cuts = _cut_array(cuts)
+        return self._answer([None] * cuts.shape[1], cuts)
 
-    def batch_between(
-        self, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`count_between` over parallel arrays (one bisect pair each)."""
-        return np.asarray(
-            [
-                self.count_between(key, start, end)
-                for key, start, end in zip(
-                    np.asarray(keys).tolist(),
-                    np.asarray(starts).tolist(),
-                    np.asarray(ends).tolist(),
-                )
-            ],
-            dtype=np.int64,
-        )
-
-    def global_batch_between(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """:meth:`global_between` over parallel arrays."""
-        return np.asarray(
-            [
-                self.global_between(start, end)
-                for start, end in zip(
-                    np.asarray(starts).tolist(), np.asarray(ends).tolist()
-                )
-            ],
-            dtype=np.int64,
-        )
-
-    @staticmethod
-    def _window(
-        times: list[float], cums: list[int], start: float, end: float
-    ) -> int:
-        hi = bisect_left(times, end)
-        lo = bisect_left(times, start)
-        upper = cums[hi - 1] if hi > 0 else 0
-        lower = cums[lo - 1] if lo > 0 else 0
-        return upper - lower
+    def _answer(self, keys: list, cuts: np.ndarray) -> np.ndarray:
+        points = cuts.shape[0]
+        found: dict[tuple, list[int]] = {}
+        flat: list[int] = []
+        for query in zip(keys, *cuts.tolist()):
+            counts = found.get(query)
+            if counts is None:
+                series = self._series.get(query[0])
+                if series is None:
+                    counts = [0] * points
+                else:
+                    times, cums = series
+                    counts = [cums[bisect_left(times, cut)] for cut in query[1:]]
+                found[query] = counts
+            flat += counts
+        return np.array(flat, dtype=np.int64).reshape(len(keys), points).T

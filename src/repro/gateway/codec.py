@@ -3,7 +3,9 @@
 The in-process gateway consumes the dataclass events from
 :mod:`repro.serve.events` directly; the HTTP front end needs those same
 events as JSON.  The codec is strict both ways: unknown event types,
-missing fields, or malformed numerics raise
+missing fields, malformed or non-finite numerics (JSON ``NaN`` and
+``Infinity`` parse as floats), or per-row arrays that disagree in shape
+raise
 :class:`~repro.utils.errors.ValidationError` (the HTTP layer maps that
 to 400 + a ``rejected`` count — malformed input is *rejected at the
 door*, never silently dropped and never allowed to poison a shard's
@@ -16,6 +18,8 @@ in-process twin.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.serve.events import (
@@ -24,6 +28,7 @@ from repro.serve.events import (
     RunCompleted,
     RunStarted,
     SbeObserved,
+    check_run_rows,
 )
 from repro.utils.errors import ValidationError
 
@@ -89,6 +94,13 @@ def _require(payload: dict, *names: str) -> list:
     return [payload[name] for name in names]
 
 
+def _minute(value) -> float:
+    minute = float(value)
+    if not math.isfinite(minute):
+        raise ValidationError(f"event minute must be finite, got {minute}")
+    return minute
+
+
 def event_from_dict(payload) -> object:
     """Decode one JSON event dict back into its dataclass form."""
     if not isinstance(payload, dict):
@@ -100,13 +112,17 @@ def event_from_dict(payload) -> object:
                 payload, "minute", "run_idx", "node_ids", "app_ids",
                 "start_minutes",
             )
-            return RunStarted(
-                minute=float(minute),
+            event = RunStarted(
+                minute=_minute(minute),
                 run_idx=int(run_idx),
                 node_ids=np.asarray(nodes, dtype=int),
                 app_ids=np.asarray(apps, dtype=int),
                 start_minutes=np.asarray(starts, dtype=float),
             )
+            check_run_rows(event)
+            if not np.isfinite(event.start_minutes).all():
+                raise ValidationError("run_started start_minutes must be finite")
+            return event
         if kind == "run_completed":
             minute, run_idx, rows = _require(payload, "minute", "run_idx", "rows")
             if not isinstance(rows, dict):
@@ -123,15 +139,17 @@ def event_from_dict(payload) -> object:
                 )
                 for name in ROW_COLUMNS
             }
-            return RunCompleted(
-                minute=float(minute), run_idx=int(run_idx), rows=decoded
+            event = RunCompleted(
+                minute=_minute(minute), run_idx=int(run_idx), rows=decoded
             )
+            check_run_rows(event)
+            return event
         if kind == "sbe_observed":
             minute, job_id, node_id, app_id, count = _require(
                 payload, "minute", "job_id", "node_id", "app_id", "count"
             )
             return SbeObserved(
-                minute=float(minute),
+                minute=_minute(minute),
                 job_id=int(job_id),
                 node_id=int(node_id),
                 app_id=int(app_id),
@@ -141,12 +159,18 @@ def event_from_dict(payload) -> object:
             minute, job_id, nodes, counts = _require(
                 payload, "minute", "job_id", "node_ids", "counts"
             )
-            return JobResolved(
-                minute=float(minute),
+            event = JobResolved(
+                minute=_minute(minute),
                 job_id=int(job_id),
                 node_ids=np.asarray(nodes, dtype=int),
                 counts=np.asarray(counts, dtype=np.int64),
             )
+            if event.node_ids.ndim != 1 or event.node_ids.shape != event.counts.shape:
+                raise ValidationError(
+                    "job_resolved node_ids and counts must be one list each "
+                    "of equal length"
+                )
+            return event
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {kind} event: {exc}") from exc
     raise ValidationError(f"unknown event type: {kind!r}")

@@ -62,7 +62,13 @@ from repro.obs import MetricsRegistry, get_registry
 from repro.gateway.clock import VirtualClock
 from repro.gateway.router import ConsistentHashRing
 from repro.gateway.watcher import RegistryWatcher
-from repro.serve.events import JobResolved, RunCompleted, RunStarted, SbeObserved
+from repro.serve.events import (
+    JobResolved,
+    RunCompleted,
+    RunStarted,
+    SbeObserved,
+    check_run_rows,
+)
 from repro.serve.drift import (
     DriftConfig,
     DriftMonitor,
@@ -288,8 +294,9 @@ class Gateway:
         """Yield (shard_id, sub_event, is_primary) deliveries for an event.
 
         Run events split row-wise by node owner; SBE/label events
-        broadcast (machine-global feature history).  With one shard the
-        original event object passes through untouched.
+        broadcast (machine-global feature history).  A run whose rows
+        all land on one shard (always, with one shard) passes through
+        untouched, and so does a malformed run, to its first owner.
         """
         n = len(self.workers)
         if isinstance(event, (SbeObserved, JobResolved)):
@@ -304,40 +311,40 @@ class Gateway:
             for shard_id in range(n):
                 yield shard_id, event, shard_id == primary
             return
-        if isinstance(event, RunStarted):
-            owners = np.asarray(
-                [self.ring.route(int(node)) for node in event.node_ids], dtype=int
-            )
-            for shard_id in _owner_order(owners):
-                mask = owners == shard_id
-                if mask.all():
+        if isinstance(event, (RunStarted, RunCompleted)):
+            started = isinstance(event, RunStarted)
+            nodes = event.node_ids if started else event.rows.get("node_id", ())
+            owners = [self.ring.route(node) for node in np.asarray(nodes).tolist()]
+            # Distinct owners in first-appearance order (deterministic fan-out).
+            shards = list(dict.fromkeys(owners)) or [0]
+            if len(shards) > 1:
+                try:
+                    check_run_rows(event)
+                except ValidationError:
+                    # A run that cannot be split row-wise goes whole to one
+                    # shard, whose engine dead-letters it.
+                    shards = shards[:1]
+            for shard_id in shards:
+                if len(shards) == 1:
                     sub = event
                 else:
-                    sub = RunStarted(
-                        minute=event.minute,
-                        run_idx=event.run_idx,
-                        node_ids=event.node_ids[mask],
-                        app_ids=event.app_ids[mask],
-                        start_minutes=event.start_minutes[mask],
+                    mask = np.asarray(owners) == shard_id
+                    sub = (
+                        RunStarted(
+                            minute=event.minute,
+                            run_idx=event.run_idx,
+                            node_ids=event.node_ids[mask],
+                            app_ids=event.app_ids[mask],
+                            start_minutes=event.start_minutes[mask],
+                        )
+                        if started
+                        else RunCompleted(
+                            minute=event.minute,
+                            run_idx=event.run_idx,
+                            rows={k: v[mask] for k, v in event.rows.items()},
+                        )
                     )
-                yield shard_id, sub, shard_id == owners[0]
-            return
-        if isinstance(event, RunCompleted):
-            nodes = np.asarray(event.rows["node_id"], dtype=int)
-            owners = np.asarray(
-                [self.ring.route(int(node)) for node in nodes], dtype=int
-            )
-            for shard_id in _owner_order(owners):
-                mask = owners == shard_id
-                if mask.all():
-                    sub = event
-                else:
-                    sub = RunCompleted(
-                        minute=event.minute,
-                        run_idx=event.run_idx,
-                        rows={k: v[mask] for k, v in event.rows.items()},
-                    )
-                yield shard_id, sub, shard_id == owners[0]
+                yield shard_id, sub, shard_id == shards[0]
             return
         raise ValidationError(
             f"cannot route event of type {type(event).__name__}"
@@ -484,16 +491,6 @@ class Gateway:
                 else {**self.drift.state(), "alarms": self.drift_alarms}
             ),
         }
-
-
-def _owner_order(owners: np.ndarray):
-    """Distinct owners in first-appearance order (deterministic fan-out)."""
-    seen: list[int] = []
-    for owner in owners:
-        owner = int(owner)
-        if owner not in seen:
-            seen.append(owner)
-    return seen
 
 
 # ---------------------------------------------------------------- builder

@@ -47,11 +47,16 @@ class ConsistentHashRing:
         )
         self._points = [point for point, _ in ring]
         self._owners = [owner for _, owner in ring]
+        #: node id -> owning shard; placement is a pure function of the id.
+        self._placed: dict[int, int] = {}
 
     def route(self, node_id: int) -> int:
         """Shard owning ``node_id``: first ring point clockwise of its hash."""
-        point = _point(f"node:{int(node_id)}")
-        at = bisect.bisect_right(self._points, point)
-        if at == len(self._points):
-            at = 0
-        return self._owners[at]
+        node_id = int(node_id)
+        owner = self._placed.get(node_id)
+        if owner is None:
+            at = bisect.bisect_right(self._points, _point(f"node:{node_id}"))
+            if at == len(self._points):
+                at = 0
+            owner = self._placed[node_id] = self._owners[at]
+        return owner

@@ -42,8 +42,10 @@ from repro.utils.io import (
 __all__ = ["CheckpointManager", "CheckpointInfo", "CHECKPOINT_FORMAT"]
 
 #: Bump when the pickled state bundle's layout changes incompatibly
-#: (3: the replay controller object replaced format 2's state dict).
-CHECKPOINT_FORMAT = 3
+#: (3: the replay controller object replaced format 2's state dict;
+#: 4: the streaming engine's history indices, pending runs and emitted
+#: rows changed layout).
+CHECKPOINT_FORMAT = 4
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.json$")
 

@@ -24,7 +24,7 @@ The parity tests hold the emitted rows **bit-identical** to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.serve.events import (
     RunCompleted,
     RunStarted,
     SbeObserved,
+    check_run_rows,
 )
 from repro.topology.machine import Machine
 from repro.utils.errors import ValidationError
@@ -54,9 +55,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StreamedRow:
-    """One (run, node) feature row emitted at run completion."""
+class StreamedRow(NamedTuple):
+    """One (run, node) feature row emitted at run completion.
+
+    A named tuple because the engine builds one per emitted row, and a
+    tuple is built in one C call.
+    """
 
     run_idx: int
     job_id: int
@@ -80,8 +84,8 @@ class StreamingFeatureEngine:
         self.schema = feature_schema(self._top_apps.size)
         self._node_index = IncrementalHistoryIndex()
         self._app_index = IncrementalHistoryIndex()
-        #: run_idx -> history counts computed at the run's start.
-        self._pending: dict[int, dict[str, np.ndarray]] = {}
+        #: run_idx -> ``(10, n)`` history block computed at the run's start.
+        self._pending: dict[int, np.ndarray] = {}
         self.rows_emitted = 0
         self.events_processed = 0
 
@@ -111,40 +115,41 @@ class StreamingFeatureEngine:
     def _on_start(self, event: RunStarted) -> None:
         if event.run_idx in self._pending:
             raise ValidationError(f"run {event.run_idx} started twice")
-        history = history_counts(
+        n = check_run_rows(event)
+        if not np.isfinite(event.start_minutes).all():
+            raise ValidationError(f"run {event.run_idx} start minutes must be finite")
+        counts = history_counts(
             self._node_index,
             self._app_index,
             event.node_ids,
             event.app_ids,
             event.start_minutes,
         )
-        history["alloc_today"] = alloc_history(
-            np.zeros(len(event.node_ids), dtype=int), history["node_today"]
+        self._pending[event.run_idx] = np.vstack(
+            (counts, alloc_history(np.zeros(n, dtype=int), counts[0]))
         )
-        self._pending[event.run_idx] = history
 
     def _on_complete(self, event: RunCompleted) -> list[StreamedRow]:
-        history = self._pending.pop(event.run_idx, None)
+        history = self._pending.get(event.run_idx)
         if history is None:
             raise ValidationError(
                 f"run {event.run_idx} completed but was never started"
             )
+        n = check_run_rows(event)
+        if n != history.shape[1]:
+            raise ValidationError(
+                f"run {event.run_idx} completed with {n} rows but started "
+                f"with {history.shape[1]}"
+            )
+        del self._pending[event.run_idx]
         r = event.rows
         X = feature_block(r, self._machine, self._top_apps, history)
+        # Every StreamedRow field but the last, ``features``, is a row column.
         rows = [
-            StreamedRow(
-                run_idx=int(r["run_idx"][i]),
-                job_id=int(r["job_id"][i]),
-                node_id=int(r["node_id"][i]),
-                app_id=int(r["app_id"][i]),
-                start_minute=float(r["start_minute"][i]),
-                end_minute=float(r["end_minute"][i]),
-                duration_minutes=float(r["duration_minutes"][i]),
-                n_nodes=int(r["n_nodes"][i]),
-                gpu_core_hours=float(r["gpu_core_hours"][i]),
-                features=X[i],
+            StreamedRow(*meta, features=features)
+            for *meta, features in zip(
+                *(r[name].tolist() for name in StreamedRow._fields[:-1]), X
             )
-            for i in range(X.shape[0])
         ]
         self.rows_emitted += len(rows)
         # Looked up lazily: the engine is pickled into replay checkpoints

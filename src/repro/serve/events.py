@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.features.history import dedupe_job_events, kept_job_rows
 from repro.telemetry.trace import SAMPLE_TELEMETRY_COLUMNS, Trace
+from repro.utils.errors import ValidationError
 
 __all__ = [
     "RunStarted",
@@ -35,6 +36,7 @@ __all__ = [
     "SbeObserved",
     "JobResolved",
     "ROW_COLUMNS",
+    "check_run_rows",
     "iter_trace_events",
 ]
 
@@ -119,6 +121,36 @@ class JobResolved:
     job_id: int
     node_ids: np.ndarray
     counts: np.ndarray
+
+
+def check_run_rows(event: RunStarted | RunCompleted) -> int:
+    """Row count of a run event whose per-row arrays share one 1-D length.
+
+    Raises :class:`~repro.utils.errors.ValidationError` when a
+    ``RunCompleted`` lacks a :data:`ROW_COLUMNS` column, when the event's
+    per-row arrays differ in shape, or when it has no rows (a run holds
+    at least one node), so a malformed run is refused whole instead of
+    being truncated or mis-split row-wise.
+    """
+    if isinstance(event, RunStarted):
+        columns = (event.node_ids, event.app_ids, event.start_minutes)
+    else:
+        missing = [name for name in ROW_COLUMNS if name not in event.rows]
+        if missing:
+            raise ValidationError(
+                f"run {event.run_idx} rows missing column(s): {', '.join(missing)}"
+            )
+        columns = event.rows.values()
+    shapes = {column.shape for column in columns}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise ValidationError(
+            f"run {event.run_idx} per-row arrays disagree in shape: "
+            f"{sorted(shapes)}"
+        )
+    (rows,) = shapes.pop()
+    if rows == 0:
+        raise ValidationError(f"run {event.run_idx} has no rows")
+    return rows
 
 
 # Delivery order at equal minutes (see module docstring).

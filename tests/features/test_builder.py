@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.features.builder import build_features
-from repro.features.history import HistoryIndex, dedupe_job_events
+from repro.features.history import dedupe_job_events
 from repro.features.schema import GROUP_APP, GROUP_HIST, GROUP_LOCATION, GROUP_TP
 from repro.utils.errors import ValidationError
 
@@ -115,7 +115,6 @@ class TestFeatureSemantics:
         events = dedupe_job_events(
             s["job_id"], s["node_id"], s["end_minute"], s["sbe_count"], s["app_id"]
         )
-        index = HistoryIndex(events.node_ids, events.minutes, events.counts)
         col = tiny_features.schema.index_of("hist_node_today")
         # Check a sample of rows against a brute-force recomputation.
         rng = np.random.default_rng(0)
@@ -123,7 +122,12 @@ class TestFeatureSemantics:
         for row in rows:
             node = int(tiny_features.meta["node_id"][row])
             start = float(tiny_features.meta["start_minute"][row])
-            expected = np.log1p(index.count_between(node, start - 1440.0, start))
+            seen = (
+                (events.node_ids == node)
+                & (events.minutes >= start - 1440.0)
+                & (events.minutes < start)
+            )
+            expected = np.log1p(events.counts[seen].sum())
             assert tiny_features.X[row, col] == pytest.approx(expected)
 
     def test_history_excludes_own_run(self, tiny_features):

@@ -105,3 +105,41 @@ class TestRejection:
         del payload["rows"]["gpu_util"]
         with pytest.raises(ValidationError, match="missing column"):
             event_from_dict(payload)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_minute_rejected(self, index):
+        # JSON NaN / Infinity parse as floats; the codec must refuse them.
+        text = json.dumps(event_to_dict(sample_events()[index]))
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            payload = json.loads(text)
+            payload["minute"] = json.loads(bad)
+            with pytest.raises(ValidationError, match="finite"):
+                event_from_dict(payload)
+
+    def test_non_finite_start_minute_rejected(self):
+        payload = event_to_dict(sample_events()[0])
+        payload["start_minutes"][1] = float("nan")
+        with pytest.raises(ValidationError, match="finite"):
+            event_from_dict(payload)
+
+    def test_run_started_length_mismatch_rejected(self):
+        payload = event_to_dict(sample_events()[0])
+        payload["app_ids"] = payload["app_ids"][:1]
+        with pytest.raises(ValidationError, match="disagree in shape"):
+            event_from_dict(payload)
+        payload = event_to_dict(sample_events()[0])
+        payload["node_ids"] = 5  # a scalar is not a per-row list
+        with pytest.raises(ValidationError, match="disagree in shape"):
+            event_from_dict(payload)
+
+    def test_run_completed_column_length_mismatch_rejected(self):
+        payload = event_to_dict(sample_events()[1])
+        payload["rows"]["gpu_util"] = payload["rows"]["gpu_util"][:1]
+        with pytest.raises(ValidationError, match="disagree in shape"):
+            event_from_dict(payload)
+
+    def test_job_resolved_length_mismatch_rejected(self):
+        payload = event_to_dict(sample_events()[3])
+        payload["counts"] = payload["counts"][:1]
+        with pytest.raises(ValidationError, match="equal length"):
+            event_from_dict(payload)

@@ -341,6 +341,54 @@ class TestLifecycle:
 
         asyncio.run(go())
 
+    def test_malformed_run_events_are_dead_lettered(
+        self, tiny_trace, splits, tmp_path_factory
+    ):
+        """Run events whose per-row arrays disagree are refused whole by
+        one shard's engine: dead-lettered, never split or truncated, and
+        the ledger still balances."""
+        import dataclasses
+
+        from repro.serve.events import RunCompleted, RunStarted, iter_trace_events
+
+        async def go():
+            gateway = build_gateway(
+                tiny_trace,
+                str(tmp_path_factory.mktemp("gw-malformed")),
+                splits=splits,
+                config=GatewayConfig(shards=2, batch_size=64),
+                fast=True,
+            )
+            events = list(iter_trace_events(tiny_trace))
+            start = next(
+                e
+                for e in events
+                if isinstance(e, RunStarted)
+                and len({gateway.ring.route(n) for n in e.node_ids}) > 1
+            )
+            stream = []
+            for event in events:
+                if isinstance(event, RunCompleted) and event.run_idx == start.run_idx:
+                    event = dataclasses.replace(
+                        event, rows=dict(event.rows, gpu_util=event.rows["gpu_util"][:-1])
+                    )
+                stream.append(event)
+                if event is start:
+                    stream.append(
+                        dataclasses.replace(start, run_idx=-1, app_ids=start.app_ids[:-1])
+                    )
+            await gateway.start()
+            for event in stream:
+                await gateway.ingest(event)
+            await asyncio.wait_for(gateway.close(), timeout=120)
+            return gateway, len(stream)
+
+        gateway, sent = asyncio.run(go())
+        assert gateway.stats.events_in == sent
+        assert gateway.stats.events_dead_lettered == 2
+        assert gateway.stats.zero_drop
+        assert sum(w.events_quarantined for w in gateway.workers) == 2
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             GatewayConfig(shards=0)

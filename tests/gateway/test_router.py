@@ -25,6 +25,16 @@ class TestRouting:
             # Perfect balance is 250; virtual replicas keep skew bounded.
             assert 100 <= share <= 450
 
+    def test_placement_survives_memoisation_and_pickling(self):
+        import pickle
+
+        ring = ConsistentHashRing(range(4))
+        first = _assign(ring)
+        assert _assign(ring) == first  # answered from the memo
+        clone = pickle.loads(pickle.dumps(ring))
+        assert _assign(clone) == first
+        assert _assign(pickle.loads(pickle.dumps(ConsistentHashRing(range(4))))) == first
+
     def test_route_returns_known_shards_only(self):
         ring = ConsistentHashRing([3, 7, 11])
         assert set(_assign(ring).values()) <= {3, 7, 11}

@@ -149,6 +149,60 @@ class TestEngineStateMachine:
         with pytest.raises(ValidationError, match="never started"):
             engine.process(RunCompleted(minute=5.0, run_idx=9, rows={}))
 
+    def test_run_started_arrays_must_share_one_length(self, tiny_trace):
+        engine = StreamingFeatureEngine(tiny_trace.machine, np.array([0]))
+        with pytest.raises(ValidationError, match="disagree in shape"):
+            engine.process(
+                RunStarted(
+                    minute=0.0,
+                    run_idx=1,
+                    node_ids=np.array([0, 1]),
+                    app_ids=np.array([0]),
+                    start_minutes=np.array([0.0, 0.0]),
+                )
+            )
+        with pytest.raises(ValidationError, match="no rows"):
+            engine.process(
+                RunStarted(
+                    minute=0.0,
+                    run_idx=2,
+                    node_ids=np.array([], dtype=int),
+                    app_ids=np.array([], dtype=int),
+                    start_minutes=np.array([]),
+                )
+            )
+        with pytest.raises(ValidationError, match="finite"):
+            engine.process(
+                RunStarted(
+                    minute=0.0,
+                    run_idx=3,
+                    node_ids=np.array([0]),
+                    app_ids=np.array([0]),
+                    start_minutes=np.array([np.nan]),
+                )
+            )
+
+    def test_completion_rows_must_match_the_start(self, tiny_trace):
+        events = list(iter_trace_events(tiny_trace))
+        start = next(e for e in events if isinstance(e, RunStarted) and e.node_ids.size > 1)
+        done = next(
+            e for e in events if isinstance(e, RunCompleted) and e.run_idx == start.run_idx
+        )
+        engine = StreamingFeatureEngine(tiny_trace.machine, np.array([0]))
+        engine.process(start)
+        short_column = dict(done.rows, gpu_util=done.rows["gpu_util"][:-1])
+        short_run = {name: column[:-1] for name, column in done.rows.items()}
+        missing = {k: v for k, v in done.rows.items() if k != "gpu_util"}
+        for rows, message in (
+            (short_column, "disagree in shape"),
+            (short_run, "started with"),
+            (missing, "missing column"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                engine.process(RunCompleted(minute=done.minute, run_idx=done.run_idx, rows=rows))
+        # Refused completions leave the run open; the real one completes it.
+        assert len(engine.process(done)) == start.node_ids.size
+
     def test_unknown_event_raises(self, tiny_trace):
         engine = StreamingFeatureEngine(tiny_trace.machine, np.array([0]))
         with pytest.raises(ValidationError, match="unknown telemetry event"):
@@ -159,9 +213,10 @@ class TestEngineStateMachine:
         engine.process(
             SbeObserved(minute=100.0, job_id=1, node_id=3, app_id=2, count=4)
         )
-        assert engine._node_index.count_between(3, -np.inf, 101.0) == 4
-        assert engine._app_index.count_between(2, -np.inf, 101.0) == 4
-        assert engine._node_index.global_between(-np.inf, 101.0) == 4
+        cuts = np.array([[101.0], [100.0]])  # one cut after the SBE, one at it
+        assert engine._node_index.counts_before([3], cuts).tolist() == [[4], [0]]
+        assert engine._app_index.counts_before([2], cuts).tolist() == [[4], [0]]
+        assert engine._node_index.global_counts_before(cuts).tolist() == [[4], [0]]
 
     def test_event_ordering_starts_before_sbes_at_equal_minute(self, tiny_trace):
         # An SBE stamped exactly at a later run's start minute must not be

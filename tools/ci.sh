@@ -4,7 +4,8 @@
 # and features legs; the last demands one features digest from the
 # batch, out-of-core and streaming builders) +
 # tier-1 tests + golden-digest regression + parallel smoke + serve
-# smoke legs (clean, chaos, kill-and-resume) + drift smoke (regime
+# smoke legs (clean, chaos, kill-and-resume) + serving examples smoke
+# (examples/online_serving.py, examples/chaos_serving.py) + drift smoke (regime
 # change -> detector fires -> guarded retrain recovers F1; poisoned
 # refit rolled back; rollback CLI) + gateway smoke (HTTP fleet, alarms,
 # zero-drop ledger) + disk-fault smoke (inject -> recover -> digest
@@ -83,6 +84,17 @@ python -m repro.cli --preset tiny serve-replay \
     --registry "$workdir/registry-resume" --fast --batch-size 64 \
     --chaos 0.25 --chaos-seed 7 \
     --checkpoint-dir "$workdir/ckpt" --resume
+
+echo
+echo "== serving examples smoke =="
+# The scripted walkthroughs drive the streaming engine end to end; the
+# chaos one exits nonzero if the resumed digest differs.  TMPDIR keeps
+# its artifacts inside the workdir the EXIT trap removes.
+TMPDIR="$workdir" REPRO_CACHE_DIR="$workdir/cache-examples" \
+    python examples/online_serving.py > "$workdir/online-serving.txt"
+TMPDIR="$workdir" REPRO_CACHE_DIR="$workdir/cache-examples" \
+    python examples/chaos_serving.py > "$workdir/chaos-serving.txt"
+grep "resumed digest == uninterrupted digest: True" "$workdir/chaos-serving.txt"
 
 echo
 echo "== drift smoke =="
