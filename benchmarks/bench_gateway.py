@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Gateway load benchmark: events/sec and latency vs shard count.
 
-Drives the synthetic client fleet through the in-process gateway at
-each shard count (clean path, no chaos) and records sustained ingest
-throughput plus p50/p99 per-event scoring latency.  Seeds
-``BENCH_gateway.json`` — the serving-tier sizing numbers alongside the
-``BENCH_scale.json`` storage trajectory.
+Runs the ``gateway`` experiment's clean plan (no chaos) at each shard
+count and records sustained ingest throughput plus p50/p99 per-event
+scoring latency.  Seeds ``BENCH_gateway.json`` — the serving-tier sizing
+numbers alongside the ``BENCH_scale.json`` storage trajectory.
 
 Interpretation note: shards here are asyncio tasks in one Python
 process, so added shards buy *isolation* (independent queues, chaos
@@ -24,49 +23,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
-import tempfile
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def bench_one(trace, splits, *, shards: int, clients: int, batch_size: int) -> dict:
-    from repro.gateway import GatewayConfig, build_gateway, run_fleet
-
-    async def drive() -> dict:
-        with tempfile.TemporaryDirectory() as root:
-            build_start = time.perf_counter()
-            gateway = build_gateway(
-                trace,
-                root,
-                splits=splits,
-                config=GatewayConfig(shards=shards, batch_size=batch_size),
-                fast=True,
-            )
-            build_seconds = time.perf_counter() - build_start
-            await gateway.start()
-            fleet = await run_fleet(gateway, trace, clients=clients)
-            await gateway.close()
-            latency = gateway.latency_percentiles()
-            assert gateway.stats.zero_drop, "gateway dropped events"
-            return {
-                "shards": shards,
-                "events": fleet.events_sent,
-                "events_per_sec": round(
-                    fleet.events_sent / fleet.wall_seconds, 1
-                ),
-                "p50_ms": round(latency["p50"] * 1e3, 4),
-                "p99_ms": round(latency["p99"] * 1e3, 4),
-                "alerts": len(gateway.scored_alerts),
-                "alarms": len(gateway.alarm_engine.alarms),
-                "ingest_seconds": round(fleet.wall_seconds, 3),
-                "build_seconds": round(build_seconds, 3),
-            }
-
-    return asyncio.run(drive())
 
 
 def main() -> int:
@@ -78,28 +38,30 @@ def main() -> int:
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_gateway.json"))
     args = parser.parse_args()
 
-    from repro.experiments.presets import preset_config, split_plan
-    from repro.features.splits import make_paper_splits
-    from repro.telemetry.simulator import simulate_trace
+    from repro.experiments.gateway_experiment import run_gateway
+    from repro.experiments.runner import ExperimentContext
 
-    trace = simulate_trace(preset_config(args.preset))
-    plan = split_plan(args.preset)
-    splits = make_paper_splits(
-        train_days=plan["train_days"],
-        test_days=plan["test_days"],
-        offsets_days=tuple(plan["offsets"]),
-        duration_days=trace.config.duration_days,
+    result = run_gateway(
+        ExperimentContext(args.preset, use_disk_cache=False),
+        shard_counts=tuple(
+            int(part) for part in args.shards.split(",") if part.strip()
+        ),
+        clients=args.clients,
+        chaos_intensity=0.0,
+        batch_size=args.batch_size,
     )
-    shard_counts = [int(part) for part in args.shards.split(",") if part.strip()]
     points = []
-    for shards in shard_counts:
-        point = bench_one(
-            trace,
-            splits,
-            shards=shards,
-            clients=args.clients,
-            batch_size=args.batch_size,
-        )
+    for run in result.data["points"]:
+        point = {
+            "shards": run["shards"],
+            "events": run["events_in"],
+            "events_per_sec": round(run["events_per_second"], 1),
+            "p50_ms": round(run["p50_ms"], 4),
+            "p99_ms": round(run["p99_ms"], 4),
+            "alerts": run["alerts"],
+            "alarms": run["alarms"],
+            "ingest_seconds": round(run["wall_seconds"], 3),
+        }
         points.append(point)
         print(
             f"shards={point['shards']}: {point['events_per_sec']:.0f} events/s, "

@@ -43,12 +43,13 @@ def test_simulate_sharded(benchmark):
     serial = simulate_trace(config)
     serial_seconds = time.perf_counter() - serial_start
 
+    sharded_start = time.perf_counter()
     trace = run_once(
         benchmark,
         lambda: simulate_trace_sharded(config, shards=4, jobs=_JOBS),
     )
+    sharded_seconds = time.perf_counter() - sharded_start
     assert np.array_equal(trace.samples["sbe_count"], serial.samples["sbe_count"])
-    sharded_seconds = benchmark.stats.stats.mean
     print(
         f"\nserial {serial_seconds:.2f}s vs sharded({_JOBS} jobs) "
         f"{sharded_seconds:.2f}s -> speedup {serial_seconds / sharded_seconds:.2f}x "
@@ -64,14 +65,15 @@ def test_faults_sweep_parallel(benchmark):
     serial = run_faults(context, intensities=intensities, jobs=1)
     serial_seconds = time.perf_counter() - serial_start
 
+    fanned_start = time.perf_counter()
     fanned = run_once(
         benchmark,
         lambda: run_faults(context, intensities=intensities, jobs=_JOBS),
     )
+    fanned_seconds = time.perf_counter() - fanned_start
     for a, b in zip(serial.data["curve"], fanned.data["curve"]):
         assert a["intensity"] == b["intensity"]
         assert a["f1"] == b["f1"] or (a["f1"] != a["f1"] and b["f1"] != b["f1"])
-    fanned_seconds = benchmark.stats.stats.mean
     print(
         f"\nfaults sweep: serial {serial_seconds:.2f}s vs --jobs {_JOBS} "
         f"{fanned_seconds:.2f}s -> speedup {serial_seconds / fanned_seconds:.2f}x "

@@ -296,7 +296,9 @@ class Gateway:
         Run events split row-wise by node owner; SBE/label events
         broadcast (machine-global feature history).  A run whose rows
         all land on one shard (always, with one shard) passes through
-        untouched, and so does a malformed run, to its first owner.
+        untouched.  A malformed run cannot be split: its start goes whole
+        to its first owner, and its completion whole to every owner (the
+        first delivery primary), so each owner's engine ends the run.
         """
         n = len(self.workers)
         if isinstance(event, (SbeObserved, JobResolved)):
@@ -321,9 +323,11 @@ class Gateway:
                 try:
                     check_run_rows(event)
                 except ValidationError:
-                    # A run that cannot be split row-wise goes whole to one
-                    # shard, whose engine dead-letters it.
-                    shards = shards[:1]
+                    # Unsplittable: every receiving engine dead-letters it
+                    # whole; the ledger counts the primary delivery only.
+                    for shard_id in shards[:1] if started else shards:
+                        yield shard_id, event, shard_id == shards[0]
+                    return
             for shard_id in shards:
                 if len(shards) == 1:
                     sub = event

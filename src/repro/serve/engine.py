@@ -130,7 +130,9 @@ class StreamingFeatureEngine:
         )
 
     def _on_complete(self, event: RunCompleted) -> list[StreamedRow]:
-        history = self._pending.get(event.run_idx)
+        # Popped before the row checks: a refused completion still ends the
+        # run, so it is not carried pending (and checkpointed) forever.
+        history = self._pending.pop(event.run_idx, None)
         if history is None:
             raise ValidationError(
                 f"run {event.run_idx} completed but was never started"
@@ -141,7 +143,6 @@ class StreamingFeatureEngine:
                 f"run {event.run_idx} completed with {n} rows but started "
                 f"with {history.shape[1]}"
             )
-        del self._pending[event.run_idx]
         r = event.rows
         X = feature_block(r, self._machine, self._top_apps, history)
         # Every StreamedRow field but the last, ``features``, is a row column.

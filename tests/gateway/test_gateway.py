@@ -344,9 +344,10 @@ class TestLifecycle:
     def test_malformed_run_events_are_dead_lettered(
         self, tiny_trace, splits, tmp_path_factory
     ):
-        """Run events whose per-row arrays disagree are refused whole by
-        one shard's engine: dead-lettered, never split or truncated, and
-        the ledger still balances."""
+        """Run events whose per-row arrays disagree are refused whole:
+        never split or truncated.  The start goes to its first owner; the
+        completion goes to every owner, so no shard keeps the run pending.
+        The ledger counts one dead letter per event and still balances."""
         import dataclasses
 
         from repro.serve.events import RunCompleted, RunStarted, iter_trace_events
@@ -387,7 +388,9 @@ class TestLifecycle:
         assert gateway.stats.events_in == sent
         assert gateway.stats.events_dead_lettered == 2
         assert gateway.stats.zero_drop
-        assert sum(w.events_quarantined for w in gateway.workers) == 2
+        # The bad start, then the bad completion at each of its two owners.
+        assert sum(w.events_quarantined for w in gateway.workers) == 3
+        assert all(w.engine._pending == {} for w in gateway.workers)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -189,7 +189,6 @@ class TestEngineStateMachine:
             e for e in events if isinstance(e, RunCompleted) and e.run_idx == start.run_idx
         )
         engine = StreamingFeatureEngine(tiny_trace.machine, np.array([0]))
-        engine.process(start)
         short_column = dict(done.rows, gpu_util=done.rows["gpu_util"][:-1])
         short_run = {name: column[:-1] for name, column in done.rows.items()}
         missing = {k: v for k, v in done.rows.items() if k != "gpu_util"}
@@ -198,9 +197,14 @@ class TestEngineStateMachine:
             (short_run, "started with"),
             (missing, "missing column"),
         ):
+            engine.process(start)
             with pytest.raises(ValidationError, match=message):
                 engine.process(RunCompleted(minute=done.minute, run_idx=done.run_idx, rows=rows))
-        # Refused completions leave the run open; the real one completes it.
+            # A refused completion still ends the run: nothing stays pending.
+            assert engine._pending == {}
+        with pytest.raises(ValidationError, match="never started"):
+            engine.process(done)
+        engine.process(start)
         assert len(engine.process(done)) == start.node_ids.size
 
     def test_unknown_event_raises(self, tiny_trace):

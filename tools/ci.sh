@@ -4,8 +4,9 @@
 # and features legs; the last demands one features digest from the
 # batch, out-of-core and streaming builders) +
 # tier-1 tests + golden-digest regression + parallel smoke + serve
-# smoke legs (clean, chaos, kill-and-resume) + serving examples smoke
-# (examples/online_serving.py, examples/chaos_serving.py) + drift smoke (regime
+# smoke legs (clean, chaos, kill-and-resume) + examples smoke (every
+# examples/*.py exits 0) + benchmarks smoke (every pytest bench case once
+# on tiny, timing off) + drift smoke (regime
 # change -> detector fires -> guarded retrain recovers F1; poisoned
 # refit rolled back; rollback CLI) + gateway smoke (HTTP fleet, alarms,
 # zero-drop ledger) + disk-fault smoke (inject -> recover -> digest
@@ -86,15 +87,26 @@ python -m repro.cli --preset tiny serve-replay \
     --checkpoint-dir "$workdir/ckpt" --resume
 
 echo
-echo "== serving examples smoke =="
-# The scripted walkthroughs drive the streaming engine end to end; the
-# chaos one exits nonzero if the resumed digest differs.  TMPDIR keeps
-# its artifacts inside the workdir the EXIT trap removes.
-TMPDIR="$workdir" REPRO_CACHE_DIR="$workdir/cache-examples" \
-    python examples/online_serving.py > "$workdir/online-serving.txt"
-TMPDIR="$workdir" REPRO_CACHE_DIR="$workdir/cache-examples" \
-    python examples/chaos_serving.py > "$workdir/chaos-serving.txt"
-grep "resumed digest == uninterrupted digest: True" "$workdir/chaos-serving.txt"
+echo "== examples smoke =="
+# Every scripted walkthrough must exit 0 on its default scale; the chaos
+# serving one also exits nonzero if the resumed digest differs.  TMPDIR
+# keeps their artifacts inside the workdir the EXIT trap removes.
+for example in examples/*.py; do
+    echo "-- $example"
+    TMPDIR="$workdir" REPRO_CACHE_DIR="$workdir/cache-examples" \
+        python "$example" > "$workdir/example-$(basename "$example" .py).txt"
+done
+grep "resumed digest == uninterrupted digest: True" \
+    "$workdir/example-chaos_serving.txt"
+
+echo
+echo "== benchmarks smoke =="
+# Every pytest bench case (each experiment id, serving, parallel, ML and
+# substrate) runs once on tiny with timing off, so a bench that no longer
+# runs fails here rather than unseen.
+TMPDIR="$workdir" REPRO_CACHE_DIR="$workdir/cache-bench" \
+    REPRO_BENCH_PRESET=tiny python -m pytest benchmarks \
+    --benchmark-disable -q -p no:randomly
 
 echo
 echo "== drift smoke =="

@@ -1,18 +1,16 @@
-"""GBDT hyper-parameter probes on the trace cached by ``tools/end2end.py``."""
+"""GBDT hyper-parameter probes on DS1 of the ``default`` experiment context.
+
+The trace and features come from the context's content-addressed cache
+(``REPRO_CACHE_DIR``), simulated on first use.
+"""
 import time
-from pathlib import Path
 
-from repro.store import SegmentedTraceStore
-from repro.features import build_features
-from repro.core import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
+from repro.experiments.runner import ExperimentContext
 from repro.ml import GradientBoostingClassifier
+from repro.ml.metrics import precision_recall_f1
 
-CACHE = Path(__file__).resolve().parents[1] / ".cache" / "e2e_trace"
-trace = SegmentedTraceStore(CACHE).load_trace()
-features = build_features(trace)
-pipe = PredictionPipeline(features)
-train, test = pipe.train_test("DS1")
+train, test = ExperimentContext("default").pipeline.train_test("DS1")
 
 for label, params in [
     ("base 200x5", dict(n_estimators=200, max_depth=5)),
@@ -24,6 +22,5 @@ for label, params in [
     ts = TwoStagePredictor(model, scale=False)
     t0 = time.time()
     ts.fit(train)
-    from repro.ml.metrics import precision_recall_f1
     p, r, f1 = precision_recall_f1(test.y, ts.predict(test))
     print(f"{label:15s} F1={f1:.3f} p={p:.3f} r={r:.3f} trees={model.n_estimators_} t={time.time()-t0:.0f}s")
