@@ -526,19 +526,15 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "experiment":
         ids = list(EXPERIMENTS) if args.ids == ["all"] else args.ids
-        if jobs > 1 and len(ids) > 1:
-            for result in run_experiments(
-                ids,
-                preset=args.preset,
-                jobs=jobs,
-                use_disk_cache=not args.no_cache,
-            ):
-                print(result)
-                print()
-        else:
-            for experiment_id in ids:
-                print(run_experiment(experiment_id, context))
-                print()
+        for result in run_experiments(
+            ids,
+            preset=args.preset,
+            jobs=jobs,
+            use_disk_cache=not args.no_cache,
+            strict=args.strict,
+        ):
+            print(result)
+            print()
         return 0
 
     if args.command == "serve-replay":

@@ -69,6 +69,7 @@ def run_experiments(
     jobs: int = 1,
     cache_dir=None,
     use_disk_cache: bool = True,
+    strict: bool = False,
 ) -> list[ExperimentResult]:
     """Run several experiments, optionally fanned over worker processes.
 
@@ -76,7 +77,9 @@ def run_experiments(
     which worker finishes first, so ``jobs=N`` output is identical to
     ``jobs=1``.  Before fanning out, the trace/feature caches are warmed
     once in this process (when disk caching is on) so workers load the
-    shared entries instead of each re-simulating the trace.
+    shared entries instead of each re-simulating the trace.  ``strict``
+    reaches every context, the warm-up's and each worker's, so a
+    degraded-data repair is a typed error at any ``jobs``.
     """
     unknown = [eid for eid in experiment_ids if eid not in EXPERIMENTS]
     if unknown:
@@ -85,12 +88,20 @@ def run_experiments(
         )
     if jobs > 1 and len(experiment_ids) > 1 and use_disk_cache:
         warm = ExperimentContext(
-            preset, cache_dir=cache_dir, use_disk_cache=True, jobs=jobs
+            preset,
+            cache_dir=cache_dir,
+            use_disk_cache=True,
+            jobs=jobs,
+            strict=strict,
         )
         warm.features  # simulates (sharded) + builds features, filling the cache
     if jobs == 1 or len(experiment_ids) <= 1:
         context = ExperimentContext(
-            preset, cache_dir=cache_dir, use_disk_cache=use_disk_cache, jobs=jobs
+            preset,
+            cache_dir=cache_dir,
+            use_disk_cache=use_disk_cache,
+            jobs=jobs,
+            strict=strict,
         )
         return [run_experiment(eid, context) for eid in experiment_ids]
     cells = experiment_cells(
@@ -98,5 +109,6 @@ def run_experiments(
         preset=preset,
         cache_dir=cache_dir,
         use_disk_cache=use_disk_cache,
+        strict=strict,
     )
     return ParallelRunner(jobs).map(run_experiment_cell, cells)

@@ -235,12 +235,17 @@ def history_counts(
     return counts.reshape(3 * len(_HISTORY_LENGTHS), start.size)
 
 
-def alloc_history(run_idx: np.ndarray, node_today: np.ndarray) -> np.ndarray:
+def alloc_history(run_idx: np.ndarray | None, node_today: np.ndarray) -> np.ndarray:
     """Mean ``node_today`` count over each row's run (allocation history).
 
     Needs every row of a run at once: the whole table in the batch
-    builders, one ``RunStarted`` in the streaming engine.
+    builders, one ``RunStarted`` in the streaming engine, which passes
+    ``run_idx=None`` for "every row is one run".  The counts are
+    integers, so their float sum is exact in any order and both paths
+    give the same bits.
     """
+    if run_idx is None:
+        return np.full(node_today.size, node_today.sum() / node_today.size)
     _, run_pos = np.unique(run_idx, return_inverse=True)
     sums = np.bincount(run_pos, weights=node_today.astype(float))
     counts = np.bincount(run_pos).astype(float)

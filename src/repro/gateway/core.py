@@ -3,10 +3,10 @@
 This is the fleet front end of the online path: instead of replaying
 one trace through one scorer (:func:`repro.serve.serve_replay`), the
 gateway accepts a fleet's event stream, routes it across N scorer
-shards by consistent-hashing the node id, folds the resulting alerts
-into operator alarms and per-node score trends, and keeps strict
-zero-drop accounting: every accepted event is either scored, dead-
-lettered, or rejected — never silently lost.
+shards by run, folds the resulting alerts into operator alarms and
+per-node score trends, and keeps strict zero-drop accounting: every
+accepted event is either scored, dead-lettered, or rejected — never
+silently lost.
 
 Sharding model
 --------------
@@ -15,27 +15,28 @@ loop body ``serve_replay`` runs, built by the same
 :func:`~repro.serve.worker.build_workers` set-up — behind an
 ``asyncio.Queue``:
 
-* ``RunStarted`` / ``RunCompleted`` split **row-wise by node owner**:
-  each shard receives only the rows whose node it owns, in their
-  original order;
+* ``RunStarted`` / ``RunCompleted`` go **whole to shard**
+  ``run_idx % N``, so a run's start and completion always meet on one
+  engine, which sees every node of the run;
 * ``SbeObserved`` / ``JobResolved`` **broadcast to every shard**: the
   feature engine's SBE history is machine-global (neighbourhood error
   pressure), so every shard must observe every error event.
 
-With one shard the delivered stream is exactly the replay stream, at
-any client count — the basis for the gateway-vs-replay digest parity
-gate.  With more shards, per-row features are *not* yet identical: the
-per-run ``alloc_today`` feature averages over the rows a shard receives,
-i.e. only its share of a split run's nodes (see ``perfbench/README.md``;
-a strict ``xfail`` pins the 2-shard mismatch).  Chaos plans shift their
-seed per shard (``seed + shard_id``) so shard 0 of a 1-shard gateway
-reproduces the replay's chaos draws bit-for-bit.
+Every shard therefore holds the machine-wide history and builds each of
+its runs' rows exactly as replay does: every alert's score and
+prediction are the same at any shard and client count.  With one shard
+the delivered stream is exactly the replay stream — the basis for the
+gateway-vs-replay digest parity gate.  With more shards only
+``scored_minute`` differs, because each shard fills and flushes its own
+micro-batches.  Chaos plans shift their seed per shard
+(``seed + shard_id``) so shard 0 of a 1-shard gateway reproduces the
+replay's chaos draws bit-for-bit.
 
 Accounting
 ----------
 ``events_in`` counts accepted ingests.  Each event has exactly one
-*primary* delivery (the shard owning its first node); broadcast replicas
-update history only.  After :meth:`Gateway.close`::
+*primary* delivery (its run's shard, or shard 0 for a broadcast);
+broadcast replicas update history only.  After :meth:`Gateway.close`::
 
     events_in == events_scored + events_dead_lettered + events_rejected
 
@@ -51,8 +52,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.pipeline import PredictionPipeline
 from repro.core.twostage import TwoStagePredictor
 from repro.features.builder import build_features
@@ -60,14 +59,12 @@ from repro.features.splits import DatasetSplit
 from repro.gateway.alarms import AlarmConfig, AlarmEngine
 from repro.obs import MetricsRegistry, get_registry
 from repro.gateway.clock import VirtualClock
-from repro.gateway.router import ConsistentHashRing
 from repro.gateway.watcher import RegistryWatcher
 from repro.serve.events import (
     JobResolved,
     RunCompleted,
     RunStarted,
     SbeObserved,
-    check_run_rows,
 )
 from repro.serve.drift import (
     DriftConfig,
@@ -93,7 +90,6 @@ class GatewayConfig:
     """Gateway shape and service knobs."""
 
     shards: int = 1
-    ring_replicas: int = 64
     #: Micro-batch size per shard scorer.
     batch_size: int = 256
     flush_deadline_minutes: float = 30.0
@@ -180,9 +176,6 @@ class Gateway:
         self.workers = workers
         self.clock = clock or VirtualClock()
         self.watcher = watcher
-        self.ring = ConsistentHashRing(
-            range(len(workers)), replicas=self.config.ring_replicas
-        )
         self.stats = GatewayStats()
         self.alarm_engine = AlarmEngine(self.config.alarms)
         #: node_id -> recent (end_minute, score, predicted, model_version).
@@ -291,64 +284,20 @@ class Gateway:
 
     # ------------------------------------------------------------ routing
     def _route(self, event):
-        """Yield (shard_id, sub_event, is_primary) deliveries for an event.
+        """Yield (shard_id, event, is_primary) deliveries for an event.
 
-        Run events split row-wise by node owner; SBE/label events
-        broadcast (machine-global feature history).  A run whose rows
-        all land on one shard (always, with one shard) passes through
-        untouched.  A malformed run cannot be split: its start goes whole
-        to its first owner, and its completion whole to every owner (the
-        first delivery primary), so each owner's engine ends the run.
+        Run events go whole to shard ``run_idx % N``: one engine sees a
+        run's start, every one of its nodes, and its completion, so a
+        malformed run is refused once, by that engine.  SBE/label events
+        broadcast (machine-global feature history), shard 0's primary.
         """
         n = len(self.workers)
-        if isinstance(event, (SbeObserved, JobResolved)):
-            if isinstance(event, SbeObserved):
-                primary = self.ring.route(event.node_id)
-            else:
-                primary = (
-                    self.ring.route(int(event.node_ids[0]))
-                    if len(event.node_ids)
-                    else 0
-                )
-            for shard_id in range(n):
-                yield shard_id, event, shard_id == primary
-            return
         if isinstance(event, (RunStarted, RunCompleted)):
-            started = isinstance(event, RunStarted)
-            nodes = event.node_ids if started else event.rows.get("node_id", ())
-            owners = [self.ring.route(node) for node in np.asarray(nodes).tolist()]
-            # Distinct owners in first-appearance order (deterministic fan-out).
-            shards = list(dict.fromkeys(owners)) or [0]
-            if len(shards) > 1:
-                try:
-                    check_run_rows(event)
-                except ValidationError:
-                    # Unsplittable: every receiving engine dead-letters it
-                    # whole; the ledger counts the primary delivery only.
-                    for shard_id in shards[:1] if started else shards:
-                        yield shard_id, event, shard_id == shards[0]
-                    return
-            for shard_id in shards:
-                if len(shards) == 1:
-                    sub = event
-                else:
-                    mask = np.asarray(owners) == shard_id
-                    sub = (
-                        RunStarted(
-                            minute=event.minute,
-                            run_idx=event.run_idx,
-                            node_ids=event.node_ids[mask],
-                            app_ids=event.app_ids[mask],
-                            start_minutes=event.start_minutes[mask],
-                        )
-                        if started
-                        else RunCompleted(
-                            minute=event.minute,
-                            run_idx=event.run_idx,
-                            rows={k: v[mask] for k, v in event.rows.items()},
-                        )
-                    )
-                yield shard_id, sub, shard_id == shards[0]
+            yield int(event.run_idx) % n, event, True
+            return
+        if isinstance(event, (SbeObserved, JobResolved)):
+            for shard_id in range(n):
+                yield shard_id, event, shard_id == 0
             return
         raise ValidationError(
             f"cannot route event of type {type(event).__name__}"

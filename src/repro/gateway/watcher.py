@@ -90,7 +90,7 @@ class RegistryWatcher:
     def maybe_swap(self, shard_id: int, scorer) -> bool:
         """Between-events hook: swap this shard if it is next in line.
 
-        Shards swap in ring order, one per call, so at any instant at
+        Shards swap in shard-id order, one per call, so at any instant at
         most one shard differs from its neighbours by a single version —
         the rolling-deploy invariant.
         """

@@ -102,6 +102,7 @@ def run_experiment_cell(cell: ExperimentCell):
         params.get("preset", "default"),
         cache_dir=params.get("cache_dir"),
         use_disk_cache=params.get("use_disk_cache", True),
+        strict=params.get("strict", False),
     )
     return run_experiment(params["experiment_id"], context)
 
@@ -112,6 +113,7 @@ def experiment_cells(
     preset: str = "default",
     cache_dir=None,
     use_disk_cache: bool = True,
+    strict: bool = False,
 ) -> list[ExperimentCell]:
     """Registry cells for ``experiment_ids`` under one preset."""
     return [
@@ -122,6 +124,7 @@ def experiment_cells(
             preset=preset,
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             use_disk_cache=use_disk_cache,
+            strict=strict,
         )
         for experiment_id in experiment_ids
     ]

@@ -126,7 +126,7 @@ class StreamingFeatureEngine:
             event.start_minutes,
         )
         self._pending[event.run_idx] = np.vstack(
-            (counts, alloc_history(np.zeros(n, dtype=int), counts[0]))
+            (counts, alloc_history(None, counts[0]))
         )
 
     def _on_complete(self, event: RunCompleted) -> list[StreamedRow]:

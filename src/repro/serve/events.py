@@ -130,7 +130,7 @@ def check_run_rows(event: RunStarted | RunCompleted) -> int:
     ``RunCompleted`` lacks a :data:`ROW_COLUMNS` column, when the event's
     per-row arrays differ in shape, or when it has no rows (a run holds
     at least one node), so a malformed run is refused whole instead of
-    being truncated or mis-split row-wise.
+    being truncated.
     """
     if isinstance(event, RunStarted):
         columns = (event.node_ids, event.app_ids, event.start_minutes)

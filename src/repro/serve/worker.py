@@ -16,8 +16,8 @@ asks for one shard; each caller fits its own model first, so both keep
 their own ``build_features`` call.
 
 :class:`ScorerWorker` is the loop body: one worker drives one scorer
-over one ordered event stream (the whole trace for replay; one
-consistent-hash shard's slice for the gateway).  The worker pickles
+over one ordered event stream (the whole trace for replay; for a gateway
+shard, every SBE and label event plus the whole runs it owns).  The worker pickles
 cleanly — it is the per-stream state inside a replay checkpoint.
 
 The exact per-event operation order is part of the digest contract:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.features.builder import build_features
+from repro.features.builder import alloc_history, build_features
 from repro.features.history import dedupe_job_events
 from repro.features.schema import GROUP_APP, GROUP_HIST, GROUP_LOCATION, GROUP_TP
 from repro.utils.errors import ValidationError
@@ -156,3 +156,10 @@ class TestFeatureSemantics:
         node_counts = np.expm1(tiny_features.X[rows, node_col])
         expected = np.log1p(node_counts.mean())
         assert np.allclose(tiny_features.X[rows, alloc_col], expected, atol=1e-9)
+
+    @pytest.mark.parametrize("counts", [[0], [3], [1, 2, 2], [7, 0, 0, 5, 1, 1, 9]])
+    def test_one_run_alloc_history_matches_grouped(self, counts):
+        # The engine's one-run shortcut must give the grouped path's bits.
+        node_today = np.array(counts, dtype=np.int64)
+        grouped = alloc_history(np.zeros(node_today.size, dtype=int), node_today)
+        assert alloc_history(None, node_today).tobytes() == grouped.tobytes()

@@ -66,6 +66,14 @@ def drive(
     return asyncio.run(go())
 
 
+def alert_scores(alerts):
+    """(run_idx, node_id) -> (score, predicted) for every scored alert."""
+    return {
+        (int(a.run_idx), int(a.node_id)): (float(a.score), int(a.predicted))
+        for a in alerts
+    }
+
+
 @pytest.fixture(scope="module")
 def splits(tiny_context):
     return tiny_context.preset_splits()
@@ -118,14 +126,22 @@ class TestReplayParity:
         gateway, _ = drive(tiny_trace, splits, tmp_path, clients=clients)
         assert gateway.scored_alert_digest() == serving_digest("scored_alerts")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a run split across shards computes alloc_today from each "
-        "shard's share of its nodes (perfbench/README.md)",
-    )
-    def test_two_shard_parity(self, tiny_trace, splits, tmp_path):
-        gateway, _ = drive(tiny_trace, splits, tmp_path, shards=2)
-        assert gateway.scored_alert_digest() == serving_digest("scored_alerts")
+    @pytest.mark.parametrize("clients", [1, 3])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_every_alert_scores_as_in_replay(
+        self, tiny_trace, splits, parity_runs, tmp_path, shards, clients
+    ):
+        # Whole runs go to one shard and every shard sees every SBE and
+        # label event, so each row's features, score and prediction are
+        # the replay's; only scored_minute follows per-shard flushes.
+        # One shard is covered by the full-digest pins above.
+        gateway, _ = drive(
+            tiny_trace, splits, tmp_path, shards=shards, clients=clients
+        )
+        expected = alert_scores(parity_runs[2].alerts)
+        assert len(expected) == len(parity_runs[2].alerts)
+        assert len(gateway.scored_alerts) == len(expected)
+        assert alert_scores(gateway.scored_alerts) == expected
 
     def test_gateway_saw_the_exact_replay_event_count(self, parity_runs):
         gateway, fleet, report = parity_runs
@@ -201,11 +217,14 @@ class TestRollingSwap:
         assert watcher.swaps_completed == 1
         assert watcher.current_version == 2
         assert all(w.scorer.model_version == 2 for w in gateway.workers)
-        # No events dropped during the roll, and — same weights — the
-        # scored output is unchanged (single-shard parity digest holds
-        # per shard count, so compare alert COUNT here, digest below).
+        # No events dropped during the roll, and — same weights — every
+        # alert scores as before (the full digest, scored_minute included,
+        # is a one-shard property: see the test below).
         assert gateway.stats.zero_drop
         assert len(gateway.scored_alerts) == len(parity_runs[0].scored_alerts)
+        assert alert_scores(gateway.scored_alerts) == alert_scores(
+            parity_runs[0].scored_alerts
+        )
 
     def test_swap_preserves_single_shard_digest(
         self, tiny_trace, splits, parity_runs, tmp_path_factory
@@ -344,10 +363,10 @@ class TestLifecycle:
     def test_malformed_run_events_are_dead_lettered(
         self, tiny_trace, splits, tmp_path_factory
     ):
-        """Run events whose per-row arrays disagree are refused whole:
-        never split or truncated.  The start goes to its first owner; the
-        completion goes to every owner, so no shard keeps the run pending.
-        The ledger counts one dead letter per event and still balances."""
+        """Run events whose per-row arrays disagree are refused whole,
+        never truncated, by the one shard that owns the run, so no shard
+        keeps the run pending.  The ledger counts one dead letter per
+        event and still balances."""
         import dataclasses
 
         from repro.serve.events import RunCompleted, RunStarted, iter_trace_events
@@ -364,8 +383,7 @@ class TestLifecycle:
             start = next(
                 e
                 for e in events
-                if isinstance(e, RunStarted)
-                and len({gateway.ring.route(n) for n in e.node_ids}) > 1
+                if isinstance(e, RunStarted) and len(e.node_ids) > 1
             )
             stream = []
             for event in events:
@@ -388,8 +406,8 @@ class TestLifecycle:
         assert gateway.stats.events_in == sent
         assert gateway.stats.events_dead_lettered == 2
         assert gateway.stats.zero_drop
-        # The bad start, then the bad completion at each of its two owners.
-        assert sum(w.events_quarantined for w in gateway.workers) == 3
+        # The bad start and the bad completion, each at its run's shard.
+        assert sum(w.events_quarantined for w in gateway.workers) == 2
         assert all(w.engine._pending == {} for w in gateway.workers)
 
     def test_config_validation(self):

@@ -206,6 +206,26 @@ class TestErrorHandling:
         assert "nope" in err
         assert "Traceback" not in err
 
+    def test_strict_reaches_parallel_experiments(self, tmp_path, capsys, monkeypatch):
+        # Under --strict a corrupted cached segment is refused by the
+        # store's own check at any --jobs: never healed (re-simulated and
+        # quarantined) first and only then reported.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["--preset", "tiny", "experiment", "fig1"]) == 0
+        (segment,) = tmp_path.glob("store-*/seg-*.npz")
+        damaged = segment.read_bytes()[:-7]
+        segment.write_bytes(damaged)
+        capsys.readouterr()
+        code = main(
+            ["--preset", "tiny", "--jobs", "2", "--strict", "experiment", "fig1", "fig3"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: checksum mismatch: expected")
+        assert "re-simulating" not in err
+        assert segment.read_bytes() == damaged
+        assert not list(tmp_path.glob("store-*/quarantine"))
+
     def test_invalid_intensities(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code = main(["--preset", "tiny", "faults", "--intensities", "0,2"])

@@ -3,7 +3,7 @@
 # sharded --jobs 2, scenario-neutrality, segmented-store, gateway-parity,
 # and features legs; the last demands one features digest from the
 # batch, out-of-core and streaming builders) +
-# tier-1 tests + golden-digest regression + parallel smoke + serve
+# tier-1 tests (the golden digests included) + parallel smoke + serve
 # smoke legs (clean, chaos, kill-and-resume) + examples smoke (every
 # examples/*.py exits 0) + benchmarks smoke (every pytest bench case once
 # on tiny, timing off) + drift smoke (regime
@@ -37,10 +37,6 @@ echo "== tier-1 tests =="
 # -p no:randomly pins test order even if pytest-randomly is installed:
 # the suite must pass in its deterministic order with the fixed seed.
 python -m pytest -x -q -p no:randomly
-
-echo
-echo "== golden-digest regression =="
-python -m pytest tests/golden -q -p no:randomly
 
 echo
 echo "== parallel smoke (--jobs 2) =="
